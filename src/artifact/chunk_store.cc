@@ -1,13 +1,9 @@
 #include "artifact/chunk_store.h"
 
 #include <fcntl.h>
-#include <sys/file.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,10 +21,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kIndexMagic = 0x49414D41;  // "AMAI" read little-endian
-constexpr uint32_t kIndexVersion = 1;
-constexpr uint32_t kEmptyBucket = 0xFFFFFFFFu;
-constexpr size_t kEntrySize = 32 + 4 + 4 + 8;  // digest, pack, size, offset
-constexpr size_t kFrameHeader = 8;             // u32 len | u32 crc
+constexpr size_t kDigestBytes = 32;
 
 constexpr size_t kMinChunk = 4u << 10;
 constexpr size_t kMaxChunk = 8u << 20;
@@ -45,92 +38,117 @@ size_t SizeFromEnv(const char* name, size_t fallback) {
   return static_cast<size_t>(v);
 }
 
-uint32_t LoadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+std::string PackName(uint32_t pack_id) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "pack-%06u.bin", pack_id);
+  return name;
 }
 
-uint64_t LoadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint64_t BucketKey(const Sha256Digest& digest) {
-  uint64_t key;
-  std::memcpy(&key, digest.data(), sizeof(key));
-  return key;
-}
-
-// tmp + fsync + rename (the checkpointer/index crash discipline).
-Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot write " + tmp + ": " +
-                            std::strerror(errno));
+// Exact "pack-<n>.bin" names only, so a stray file that merely starts like
+// one (a temp file, an editor backup) is never taken for a pack.
+bool ParsePackName(std::string_view name, uint32_t* id) {
+  unsigned parsed = 0;
+  if (std::sscanf(std::string(name).c_str(), "pack-%06u.bin", &parsed) != 1 ||
+      parsed == 0 || PackName(parsed) != name) {
+    return false;
   }
-  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-            std::fflush(f) == 0;
-  if (ok) ::fsync(fileno(f));
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " into place: " +
-                            std::strerror(errno));
-  }
-  return Status::OK();
+  *id = parsed;
+  return true;
 }
 
-// flock-based publisher serialization; readers never take it.
-class PublishLock {
+// The highest pack id in a draft's file table, which Collect() fills with
+// every pack on disk; 0 when there is none.
+uint32_t LastPackId(const durable::MmapHashIndex::Draft& draft) {
+  uint32_t last = 0;
+  for (const durable::MmapHashIndex::File& file : draft.files) {
+    uint32_t id = 0;
+    if (ParsePackName(file.name, &id)) last = std::max(last, id);
+  }
+  return last;
+}
+
+std::string_view DigestKey(const Sha256Digest& digest) {
+  return std::string_view(reinterpret_cast<const char*>(digest.data()),
+                          digest.size());
+}
+
+durable::MmapHashIndex::Spec IndexSpec(const std::string& dir) {
+  durable::MmapHashIndex::Spec spec;
+  spec.index_path = dir + "/chunks.idx";
+  spec.lock_path = dir + "/index.lock";
+  spec.data_dir = dir + "/packs";
+  spec.magic = kIndexMagic;
+  spec.key_bytes = kDigestBytes;
+  spec.max_payload = kDigestBytes + kMaxChunk;
+  spec.is_data_file = [](std::string_view name) {
+    uint32_t id = 0;
+    return ParsePackName(name, &id);
+  };
+  spec.key_of = [](std::string_view payload, std::string* key) {
+    if (payload.size() <= kDigestBytes) return false;
+    *key = std::string(payload.substr(0, kDigestBytes));
+    return true;
+  };
+  return spec;
+}
+
+// Appends chunk frames to packs, indexing each one in `draft`, and rolls
+// over to the next pack id once the current pack is past `rollover` bytes.
+// A pack is opened at its clean end, which cuts off a torn tail a crashed
+// publisher left.
+class PackWriter {
  public:
-  explicit PublishLock(const std::string& dir) {
-    fd_ = ::open((dir + "/index.lock").c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
-                 0644);
-    if (fd_ >= 0) {
-      while (::flock(fd_, LOCK_EX) != 0 && errno == EINTR) {
-      }
-    }
+  PackWriter(const durable::MmapHashIndex& index, size_t rollover,
+             durable::MmapHashIndex::Draft* draft)
+      : index_(index), rollover_(rollover), draft_(draft) {}
+
+  Status Open(uint32_t id) {
+    id_ = id;
+    AUTOMC_ASSIGN_OR_RETURN(pack_,
+                            index_.OpenForAppend(draft_, PackName(id), &file_));
+    size_ = pack_.Size();
+    return Status::OK();
   }
-  ~PublishLock() {
-    if (fd_ >= 0) {
-      ::flock(fd_, LOCK_UN);
-      ::close(fd_);
+
+  Status Add(const Sha256Digest& digest, std::string_view data) {
+    if (size_ > rollover_) {
+      AUTOMC_RETURN_IF_ERROR(pack_.Sync());
+      AUTOMC_RETURN_IF_ERROR(Open(id_ + 1));
     }
+    std::string payload(DigestKey(digest));  // digest || bytes
+    payload.append(data);
+    AUTOMC_RETURN_IF_ERROR(pack_.Append(payload));
+    draft_->Add(std::string(DigestKey(digest)),
+                durable::FrameLoc{file_, static_cast<uint32_t>(payload.size()),
+                                  size_});
+    size_ += 8 + payload.size();
+    draft_->files[file_].covered = size_;
+    return Status::OK();
   }
-  bool held() const { return fd_ >= 0; }
+
+  Status Sync() { return pack_.Sync(); }
+  uint32_t id() const { return id_; }
 
  private:
-  int fd_ = -1;
+  const durable::MmapHashIndex& index_;
+  size_t rollover_;
+  durable::MmapHashIndex::Draft* draft_;
+  durable::FramedLog pack_;
+  uint32_t id_ = 0;
+  uint32_t file_ = 0;
+  uint64_t size_ = 0;
 };
 
-// One pack frame: u32 len | u32 crc32(payload) | digest[32] || data.
-std::string EncodeChunkFrame(const Sha256Digest& digest,
-                             std::string_view data) {
-  ByteWriter payload;
-  payload.Raw(digest.data(), digest.size());
-  payload.Raw(data.data(), data.size());
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(payload.str().size()));
-  w.U32(Crc32(payload.str()));
-  w.Raw(payload.str().data(), payload.str().size());
-  return w.Take();
-}
-
 }  // namespace
+
+ChunkStore::ChunkStore(const std::string& dir)
+    : dir_(dir), index_(IndexSpec(dir)) {}
 
 Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(Options options) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("ChunkStore needs a directory");
   }
-  std::unique_ptr<ChunkStore> store(new ChunkStore());
-  store->dir_ = options.dir;
+  std::unique_ptr<ChunkStore> store(new ChunkStore(options.dir));
   size_t chunk = options.chunk_size != 0
                      ? options.chunk_size
                      : SizeFromEnv("AUTOMC_ARTIFACT_CHUNK_SIZE", kDefaultChunk);
@@ -151,188 +169,36 @@ Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(Options options) {
   return store;
 }
 
-ChunkStore::~ChunkStore() {
-  std::unique_lock<std::mutex> lock(mu_);
-  UnmapLocked();
-}
-
-std::string ChunkStore::PackPath(uint32_t pack_id) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "pack-%06u.bin", pack_id);
-  return dir_ + "/packs/" + name;
-}
-
-std::vector<uint32_t> ChunkStore::ListPacksLocked() const {
-  std::vector<uint32_t> ids;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_ + "/packs", ec)) {
-    const std::string name = entry.path().filename().string();
-    unsigned id = 0;
-    if (std::sscanf(name.c_str(), "pack-%06u.bin", &id) == 1 && id > 0) {
-      ids.push_back(static_cast<uint32_t>(id));
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-void ChunkStore::UnmapLocked() {
-  if (map_base_ != nullptr) {
-    ::munmap(map_base_, map_len_);
-    map_base_ = nullptr;
-    map_len_ = 0;
-  }
-  have_index_ = false;
-  entry_count_ = 0;
-  bucket_count_ = 0;
-}
-
 void ChunkStore::LoadIndexLocked() {
-  UnmapLocked();
-  fallback_.clear();
-  const std::string path = dir_ + "/chunks.idx";
-  bool index_existed = false;
-  do {
-    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) break;
-    index_existed = true;
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size < 36) {
-      ::close(fd);
-      break;
-    }
-    const size_t len = static_cast<size_t>(st.st_size);
-    void* base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (base == MAP_FAILED) break;
-    const char* p = static_cast<const char*>(base);
-    // CRC tail guards the whole image: a reader sees the old file or the
-    // new one, never a torn mix (rename is atomic), and bit rot is caught.
-    if (Crc32(p, len - 4) != LoadU32(p + len - 4) ||
-        LoadU32(p) != kIndexMagic || LoadU32(p + 4) != kIndexVersion) {
-      ::munmap(base, len);
-      break;
-    }
-    size_t off = 8;
-    const uint64_t generation = LoadU64(p + off);
-    off += 8;
-    const uint32_t pack_count = LoadU32(p + off);
-    off += 4;
-    if (off + pack_count * 12ull > len - 4) {
-      ::munmap(base, len);
-      break;
-    }
-    off += pack_count * 12ull;  // pack table is publisher-only; skip
-    if (off + 8 > len - 4) {
-      ::munmap(base, len);
-      break;
-    }
-    const uint64_t entry_count = LoadU64(p + off);
-    off += 8;
-    const size_t entries_off = off;
-    if (off + entry_count * kEntrySize > len - 4) {
-      ::munmap(base, len);
-      break;
-    }
-    off += entry_count * kEntrySize;
-    if (off + 8 > len - 4) {
-      ::munmap(base, len);
-      break;
-    }
-    const uint64_t bucket_count = LoadU64(p + off);
-    off += 8;
-    const size_t buckets_off = off;
-    if (bucket_count == 0 || (bucket_count & (bucket_count - 1)) != 0 ||
-        off + bucket_count * 4 != len - 4) {
-      ::munmap(base, len);
-      break;
-    }
-    map_base_ = static_cast<char*>(base);
-    map_len_ = len;
-    generation_ = generation;
-    entry_count_ = entry_count;
-    entries_off_ = entries_off;
-    bucket_count_ = bucket_count;
-    buckets_off_ = buckets_off;
-    map_ino_ = static_cast<uint64_t>(st.st_ino);
-    map_size_ = len;
-    map_mtime_ns_ =
-        st.st_mtim.tv_sec * 1000000000ll + st.st_mtim.tv_nsec;
-    have_index_ = true;
-    return;
-  } while (false);
-
-  // Missing or corrupt index: degrade to a full pack replay. Strictly a
-  // read-side fallback — the next publish rewrites a good index.
-  std::map<uint32_t, uint64_t> covered;  // discarded; replay starts at 0
-  CollectEntriesLocked(&fallback_, &covered);
-  if (index_existed || !fallback_.empty()) {
+  const durable::MmapHashIndex::LoadState state = index_.Load();
+  // Missing or unusable index: Load degraded to a full pack replay. Strictly
+  // a read-side fallback — the next publish rewrites a good index.
+  if (state == durable::MmapHashIndex::LoadState::kUnusable ||
+      (state == durable::MmapHashIndex::LoadState::kAbsent &&
+       index_.size() > 0)) {
     AUTOMC_METRIC_COUNT("artifact.index_rebuilds");
-    AUTOMC_LOG(Warning) << "artifact index " << path
-                        << " unusable; replaying packs (" << fallback_.size()
-                        << " chunks)";
+    AUTOMC_LOG(Warning) << "artifact index " << dir_
+                        << "/chunks.idx unusable; replaying packs ("
+                        << index_.size() << " chunks)";
   }
 }
 
 void ChunkStore::RefreshLocked() {
-  const std::string path = dir_ + "/chunks.idx";
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) {
-    if (have_index_) LoadIndexLocked();
-    return;
-  }
-  const int64_t mtime_ns =
-      st.st_mtim.tv_sec * 1000000000ll + st.st_mtim.tv_nsec;
-  if (!have_index_ || static_cast<uint64_t>(st.st_ino) != map_ino_ ||
-      static_cast<uint64_t>(st.st_size) != map_size_ ||
-      mtime_ns != map_mtime_ns_) {
-    LoadIndexLocked();
-  }
+  if (index_.Stale()) LoadIndexLocked();
 }
 
-void ChunkStore::Refresh() {
-  std::unique_lock<std::mutex> lock(mu_);
+bool ChunkStore::LocateLocked(const Sha256Digest& digest,
+                              durable::FrameLoc* loc) {
+  if (index_.Find(DigestKey(digest), loc)) return true;
+  // Another process may have published since we mapped the index.
   RefreshLocked();
-}
-
-bool ChunkStore::FindLocked(const Sha256Digest& digest, Loc* loc) const {
-  if (!have_index_) {
-    auto it = fallback_.find(digest);
-    if (it == fallback_.end()) return false;
-    *loc = it->second;
-    return true;
-  }
-  const uint64_t mask = bucket_count_ - 1;
-  uint64_t slot = BucketKey(digest) & mask;
-  for (uint64_t probes = 0; probes < bucket_count_; ++probes) {
-    const uint32_t idx = LoadU32(map_base_ + buckets_off_ + 4 * slot);
-    if (idx == kEmptyBucket) return false;
-    if (idx < entry_count_) {
-      const char* e = map_base_ + entries_off_ + idx * kEntrySize;
-      if (std::memcmp(e, digest.data(), 32) == 0) {
-        loc->pack_id = LoadU32(e + 32);
-        loc->size = LoadU32(e + 36);
-        loc->offset = LoadU64(e + 40);
-        return true;
-      }
-    }
-    slot = (slot + 1) & mask;
-  }
-  return false;
+  return index_.Find(DigestKey(digest), loc);
 }
 
 size_t ChunkStore::KnownChunks() {
   std::unique_lock<std::mutex> lock(mu_);
   RefreshLocked();
-  return have_index_ ? static_cast<size_t>(entry_count_) : fallback_.size();
-}
-
-bool ChunkStore::Contains(const Sha256Digest& digest) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Loc loc;
-  if (FindLocked(digest, &loc)) return true;
-  RefreshLocked();
-  return FindLocked(digest, &loc);
+  return index_.size();
 }
 
 void ChunkStore::QuarantineLocked(const Sha256Digest& digest,
@@ -351,45 +217,22 @@ void ChunkStore::QuarantineLocked(const Sha256Digest& digest,
   }
 }
 
-Result<std::string> ChunkStore::ReadVerifiedLocked(const Sha256Digest& digest,
-                                                   const Loc& loc) {
-  const std::string path = PackPath(loc.pack_id);
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    QuarantineLocked(digest, "pack file missing: " + path);
-    return Status::DataLoss("chunk " + HexDigest(digest) +
-                            ": pack file missing");
+Result<std::string> ChunkStore::ReadVerifiedLocked(
+    const Sha256Digest& digest, const durable::FrameLoc& loc,
+    const durable::MmapHashIndex::Draft* draft) {
+  Result<std::string> payload = index_.ReadFrame(loc, draft);
+  std::string why;
+  if (!payload.ok()) {
+    why = payload.status().message();
+  } else if (payload->compare(0, kDigestBytes, DigestKey(digest)) != 0) {
+    why = "stored under a different digest";
+  } else {
+    payload->erase(0, kDigestBytes);
+    if (Sha256::Hash(*payload) == digest) return payload;
+    why = "content does not match its digest";
   }
-  const size_t frame_len = kFrameHeader + 32 + loc.size;
-  std::string frame(frame_len, '\0');
-  ssize_t got = ::pread(fd, frame.data(), frame_len,
-                        static_cast<off_t>(loc.offset));
-  ::close(fd);
-  if (got != static_cast<ssize_t>(frame_len)) {
-    QuarantineLocked(digest, "truncated frame in " + path);
-    return Status::DataLoss("chunk " + HexDigest(digest) +
-                            ": truncated pack frame");
-  }
-  const uint32_t len = LoadU32(frame.data());
-  const uint32_t crc = LoadU32(frame.data() + 4);
-  std::string_view payload(frame.data() + kFrameHeader, 32 + loc.size);
-  if (len != 32 + loc.size || Crc32(payload) != crc) {
-    QuarantineLocked(digest, "frame CRC mismatch in " + path);
-    return Status::DataLoss("chunk " + HexDigest(digest) +
-                            ": pack frame failed CRC");
-  }
-  if (std::memcmp(payload.data(), digest.data(), 32) != 0) {
-    QuarantineLocked(digest, "stored digest mismatch in " + path);
-    return Status::DataLoss("chunk " + HexDigest(digest) +
-                            ": stored under a different digest");
-  }
-  std::string_view data = payload.substr(32);
-  if (Sha256::Hash(data) != digest) {
-    QuarantineLocked(digest, "content digest mismatch in " + path);
-    return Status::DataLoss("chunk " + HexDigest(digest) +
-                            ": content does not match its digest");
-  }
-  return std::string(data);
+  QuarantineLocked(digest, why);
+  return Status::DataLoss("chunk " + HexDigest(digest) + ": " + why);
 }
 
 Result<std::string> ChunkStore::GetChunk(const Sha256Digest& digest) {
@@ -397,197 +240,37 @@ Result<std::string> ChunkStore::GetChunk(const Sha256Digest& digest) {
   if (quarantined_.count(digest) != 0) {
     return Status::DataLoss("chunk " + HexDigest(digest) + " is quarantined");
   }
-  Loc loc;
-  if (!FindLocked(digest, &loc)) {
-    // Another process may have published since we mapped the index.
-    RefreshLocked();
-    if (!FindLocked(digest, &loc)) {
-      return Status::NotFound("no chunk " + HexDigest(digest));
-    }
+  durable::FrameLoc loc;
+  if (!LocateLocked(digest, &loc)) {
+    return Status::NotFound("no chunk " + HexDigest(digest));
   }
   return ReadVerifiedLocked(digest, loc);
 }
 
-void ChunkStore::CollectEntriesLocked(std::map<Sha256Digest, Loc>* out,
-                                      std::map<uint32_t, uint64_t>* covered) {
-  out->clear();
-  covered->clear();
-  if (have_index_) {
-    const char* p = map_base_;
-    size_t off = 16;
-    const uint32_t pack_count = LoadU32(p + off);
-    off += 4;
-    for (uint32_t i = 0; i < pack_count; ++i) {
-      const uint32_t id = LoadU32(p + off);
-      const uint64_t cov = LoadU64(p + off + 4);
-      (*covered)[id] = cov;
-      off += 12;
-    }
-    off += 8;  // entry_count, already parsed
-    for (uint64_t i = 0; i < entry_count_; ++i) {
-      const char* e = map_base_ + entries_off_ + i * kEntrySize;
-      Sha256Digest digest;
-      std::memcpy(digest.data(), e, 32);
-      Loc loc;
-      loc.pack_id = LoadU32(e + 32);
-      loc.size = LoadU32(e + 36);
-      loc.offset = LoadU64(e + 40);
-      (*out)[digest] = loc;
-    }
-  }
-  // Self-healing sweep: frames appended after the covered offset (a publish
-  // torn between append and index rename) are picked up here; a torn tail
-  // frame just stops the replay for that pack.
-  std::vector<uint32_t> packs = ListPacksLocked();
-  std::map<uint32_t, uint64_t> on_disk;
-  for (uint32_t id : packs) {
-    uint64_t pos = 0;
-    if (auto it = covered->find(id); it != covered->end()) pos = it->second;
-    int fd = ::open(PackPath(id).c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) continue;
-    for (;;) {
-      char header[kFrameHeader];
-      ssize_t got = ::pread(fd, header, sizeof(header),
-                            static_cast<off_t>(pos));
-      if (got != static_cast<ssize_t>(sizeof(header))) break;
-      const uint32_t len = LoadU32(header);
-      const uint32_t crc = LoadU32(header + 4);
-      if (len < 33 || len > 32 + kMaxChunk) break;
-      std::string payload(len, '\0');
-      got = ::pread(fd, payload.data(), len,
-                    static_cast<off_t>(pos + kFrameHeader));
-      if (got != static_cast<ssize_t>(len) || Crc32(payload) != crc) break;
-      Sha256Digest digest;
-      std::memcpy(digest.data(), payload.data(), 32);
-      Loc loc;
-      loc.pack_id = id;
-      loc.size = len - 32;
-      loc.offset = pos;
-      out->emplace(digest, loc);  // first sighting wins
-      pos += kFrameHeader + len;
-    }
-    ::close(fd);
-    on_disk[id] = pos;
-  }
-  // The authoritative covered map only names packs that exist on disk.
-  *covered = std::move(on_disk);
-}
-
-Status ChunkStore::PublishIndexLocked(
-    const std::map<Sha256Digest, Loc>& entries,
-    const std::map<uint32_t, uint64_t>& covered) {
-  ByteWriter w;
-  w.U32(kIndexMagic);
-  w.U32(kIndexVersion);
-  w.U64(generation_ + 1);
-  w.U32(static_cast<uint32_t>(covered.size()));
-  for (const auto& [id, cov] : covered) {
-    w.U32(id);
-    w.U64(cov);
-  }
-  w.U64(static_cast<uint64_t>(entries.size()));
-  for (const auto& [digest, loc] : entries) {
-    w.Raw(digest.data(), digest.size());
-    w.U32(loc.pack_id);
-    w.U32(loc.size);
-    w.U64(loc.offset);
-  }
-  uint64_t buckets = 8;
-  while (buckets < entries.size() * 2) buckets <<= 1;
-  std::vector<uint32_t> table(buckets, kEmptyBucket);
-  uint32_t idx = 0;
-  for (const auto& [digest, loc] : entries) {
-    (void)loc;
-    uint64_t slot = BucketKey(digest) & (buckets - 1);
-    while (table[slot] != kEmptyBucket) slot = (slot + 1) & (buckets - 1);
-    table[slot] = idx++;
-  }
-  w.U64(buckets);
-  for (uint32_t b : table) w.U32(b);
-  w.U32(Crc32(w.str()));
-  AUTOMC_RETURN_IF_ERROR(WriteFileAtomic(dir_ + "/chunks.idx", w.str()));
-  AUTOMC_METRIC_COUNT("artifact.index_publishes");
-  LoadIndexLocked();
-  if (!have_index_) {
-    return Status::Internal("freshly published artifact index failed to map");
-  }
-  return Status::OK();
-}
-
 Result<ChunkStore::PutResult> ChunkStore::PutBlob(std::string_view blob) {
   std::unique_lock<std::mutex> lock(mu_);
-  PublishLock publish(dir_);
-  if (!publish.held()) {
-    return Status::Internal("cannot lock artifact index for publish");
-  }
+  AUTOMC_ASSIGN_OR_RETURN(durable::FileLock publish, index_.LockPublish());
   RefreshLocked();
-  std::map<Sha256Digest, Loc> entries;
-  std::map<uint32_t, uint64_t> covered;
-  CollectEntriesLocked(&entries, &covered);
+  durable::MmapHashIndex::Draft draft = index_.Collect();
 
-  std::vector<uint32_t> packs = ListPacksLocked();
-  uint32_t pack_id = packs.empty() ? 1 : packs.back();
-  int fd = -1;
-  uint64_t pack_size = 0;
-  auto open_pack = [&]() -> Status {
-    fd = ::open(PackPath(pack_id).c_str(),
-                O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-    if (fd < 0) {
-      return Status::Internal("cannot open " + PackPath(pack_id) + ": " +
-                              std::strerror(errno));
-    }
-    struct stat st{};
-    pack_size = ::fstat(fd, &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
-    return Status::OK();
-  };
-  AUTOMC_RETURN_IF_ERROR(open_pack());
-  if (pack_size > pack_rollover_) {
-    ::close(fd);
-    ++pack_id;
-    AUTOMC_RETURN_IF_ERROR(open_pack());
-  }
+  PackWriter writer(index_, pack_rollover_, &draft);
+  AUTOMC_RETURN_IF_ERROR(writer.Open(std::max(LastPackId(draft), 1u)));
 
   PutResult res;
-  bool wrote = false;
   for (size_t pos = 0; pos < blob.size(); pos += chunk_size_) {
     const std::string_view piece = blob.substr(pos, chunk_size_);
     const Sha256Digest digest = Sha256::Hash(piece);
     res.digests.push_back(digest);
-    if (entries.find(digest) != entries.end()) {
+    if (draft.entries.count(DigestKey(digest)) != 0) {
       ++res.dup_chunks;
       res.dup_bytes += piece.size();
       continue;
     }
-    if (pack_size > pack_rollover_) {
-      ::fsync(fd);
-      ::close(fd);
-      ++pack_id;
-      AUTOMC_RETURN_IF_ERROR(open_pack());
-    }
-    const std::string frame = EncodeChunkFrame(digest, piece);
-    size_t done = 0;
-    while (done < frame.size()) {
-      ssize_t n = ::write(fd, frame.data() + done, frame.size() - done);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        ::close(fd);
-        return Status::Internal("short write on " + PackPath(pack_id));
-      }
-      done += static_cast<size_t>(n);
-    }
-    Loc loc;
-    loc.pack_id = pack_id;
-    loc.size = static_cast<uint32_t>(piece.size());
-    loc.offset = pack_size;
-    entries[digest] = loc;
-    pack_size += frame.size();
-    covered[pack_id] = pack_size;
+    AUTOMC_RETURN_IF_ERROR(writer.Add(digest, piece));
     ++res.new_chunks;
     res.new_bytes += piece.size();
-    wrote = true;
   }
-  if (wrote) ::fsync(fd);
-  ::close(fd);
+  if (res.new_chunks > 0) AUTOMC_RETURN_IF_ERROR(writer.Sync());
 
   AUTOMC_METRIC_COUNT("artifact.chunks_stored",
                       static_cast<int64_t>(res.new_chunks));
@@ -597,102 +280,57 @@ Result<ChunkStore::PutResult> ChunkStore::PutBlob(std::string_view blob) {
                       static_cast<int64_t>(res.dup_chunks));
   AUTOMC_METRIC_COUNT("artifact.dedup_bytes",
                       static_cast<int64_t>(res.dup_bytes));
-  AUTOMC_RETURN_IF_ERROR(PublishIndexLocked(entries, covered));
+  AUTOMC_RETURN_IF_ERROR(index_.Publish(draft));
+  AUTOMC_METRIC_COUNT("artifact.index_publishes");
   return res;
 }
 
 Result<uint64_t> ChunkStore::CollectGarbage(
     const std::set<Sha256Digest>& live) {
   std::unique_lock<std::mutex> lock(mu_);
-  PublishLock publish(dir_);
-  if (!publish.held()) {
-    return Status::Internal("cannot lock artifact index for GC");
-  }
+  AUTOMC_ASSIGN_OR_RETURN(durable::FileLock publish, index_.LockPublish());
   RefreshLocked();
-  std::map<Sha256Digest, Loc> entries;
-  std::map<uint32_t, uint64_t> covered;
-  CollectEntriesLocked(&entries, &covered);
+  const durable::MmapHashIndex::Draft old = index_.Collect();
 
-  const std::vector<uint32_t> old_packs = ListPacksLocked();
-  uint32_t pack_id = (old_packs.empty() ? 0 : old_packs.back()) + 1;
-  std::vector<uint32_t> new_packs;
-  std::map<Sha256Digest, Loc> kept;
-  std::map<uint32_t, uint64_t> new_covered;
+  const uint32_t first_new = LastPackId(old) + 1;
+  durable::MmapHashIndex::Draft kept;
+  PackWriter writer(index_, pack_rollover_, &kept);
   uint64_t reclaimed = 0;
-
-  int fd = -1;
-  uint64_t pack_size = 0;
   auto abort_gc = [&](Status why) -> Status {
-    if (fd >= 0) ::close(fd);
-    for (uint32_t id : new_packs) ::unlink(PackPath(id).c_str());
+    for (uint32_t id = first_new; id <= writer.id(); ++id) {
+      ::unlink((dir_ + "/packs/" + PackName(id)).c_str());
+    }
     return why;
   };
-  auto open_new_pack = [&]() -> Status {
-    fd = ::open(PackPath(pack_id).c_str(),
-                O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
-    if (fd < 0) {
-      return Status::Internal("cannot create " + PackPath(pack_id) + ": " +
-                              std::strerror(errno));
-    }
-    new_packs.push_back(pack_id);
-    pack_size = 0;
-    return Status::OK();
-  };
-  if (Status st = open_new_pack(); !st.ok()) return abort_gc(st);
+  if (Status st = writer.Open(first_new); !st.ok()) return abort_gc(st);
 
-  for (const auto& [digest, loc] : entries) {
+  for (const auto& [key, loc] : old.entries) {
+    Sha256Digest digest;
+    std::memcpy(digest.data(), key.data(), kDigestBytes);
     if (live.find(digest) == live.end()) {
-      reclaimed += loc.size;
+      reclaimed += loc.size - kDigestBytes;
       continue;
     }
     // Copy-through re-verifies every survivor; a corrupt live chunk must
     // abort (the data is unrecoverable and deleting the old pack would
     // destroy the evidence), while a corrupt dead chunk was reclaimable
     // anyway.
-    Result<std::string> data = ReadVerifiedLocked(digest, loc);
+    Result<std::string> data = ReadVerifiedLocked(digest, loc, &old);
     if (!data.ok()) {
       return abort_gc(Status::DataLoss("GC aborted: live " +
                                        data.status().message()));
     }
-    if (pack_size > pack_rollover_) {
-      ::fsync(fd);
-      ::close(fd);
-      fd = -1;
-      ++pack_id;
-      if (Status st = open_new_pack(); !st.ok()) return abort_gc(st);
-    }
-    const std::string frame = EncodeChunkFrame(digest, *data);
-    size_t done = 0;
-    while (done < frame.size()) {
-      ssize_t n = ::write(fd, frame.data() + done, frame.size() - done);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        return abort_gc(Status::Internal("short write during GC"));
-      }
-      done += static_cast<size_t>(n);
-    }
-    Loc nloc;
-    nloc.pack_id = pack_id;
-    nloc.size = loc.size;
-    nloc.offset = pack_size;
-    kept[digest] = nloc;
-    pack_size += frame.size();
-    new_covered[pack_id] = pack_size;
+    if (Status st = writer.Add(digest, *data); !st.ok()) return abort_gc(st);
   }
-  ::fsync(fd);
-  ::close(fd);
-  fd = -1;
-  if (new_covered.find(new_packs.back()) == new_covered.end()) {
-    new_covered[new_packs.back()] = 0;  // empty tail pack is still covered
-  }
-
-  if (Status st = PublishIndexLocked(kept, new_covered); !st.ok()) {
-    return abort_gc(st);
-  }
+  if (Status st = writer.Sync(); !st.ok()) return abort_gc(st);
+  if (Status st = index_.Publish(kept); !st.ok()) return abort_gc(st);
+  AUTOMC_METRIC_COUNT("artifact.index_publishes");
   // The new index no longer references the old packs; readers mapping the
   // *old* index can still serve from them until they refresh, which is why
   // deletion comes last (an in-flight GetChunk re-probes after a miss).
-  for (uint32_t id : old_packs) ::unlink(PackPath(id).c_str());
+  for (const durable::MmapHashIndex::File& file : old.files) {
+    ::unlink((dir_ + "/packs/" + file.name).c_str());
+  }
   AUTOMC_METRIC_COUNT("artifact.gc_runs");
   AUTOMC_METRIC_COUNT("artifact.gc_reclaimed_bytes",
                       static_cast<int64_t>(reclaimed));

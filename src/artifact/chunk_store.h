@@ -2,7 +2,6 @@
 #define AUTOMC_ARTIFACT_CHUNK_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -10,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/durable.h"
 #include "common/result.h"
 #include "common/sha256.h"
 
@@ -17,37 +17,32 @@ namespace automc {
 namespace artifact {
 
 // Content-addressed chunk storage: fixed-size chunks keyed by their SHA-256
-// digest, persisted in CRC-framed append-only pack files with a versioned
-// mmap hash index (the experience-index publish contract: flock-serialized
-// writers, lock-free mmap readers, atomic tmp+fsync+rename index replace).
+// digest, persisted in CRC-framed append-only pack files with a published
+// hash index — the same durable::MmapHashIndex the experience tier uses
+// (layout in common/durable.h): lock-serialized publishers, lock-free
+// mapped readers, atomic whole-file index replace.
 //
 // On-disk layout under Options::dir —
-//   packs/pack-<n>.bin   append-only chunk frames:
+//   packs/pack-<n>.bin   append-only durable::FramedLog chunk frames:
 //                          u32 len | u32 crc32(payload) | payload
 //                        where payload = 32-byte digest || chunk bytes;
-//   chunks.idx           the published index (format below);
-//   index.lock           flock'd by publishers and the GC;
+//   chunks.idx           the published index: magic "AMAI", 32-byte keys
+//                        (the digest), one bucket per chunk locating its
+//                        frame (pack file, payload size, offset), plus each
+//                        pack's covered bytes, so the next publish replays
+//                        only the pack suffix an older index had not seen
+//                        and a publish torn between "chunks appended" and
+//                        "index replaced" self-heals;
+//   index.lock           held by publishers and the GC;
 //   quarantine.log       hex digests of chunks that failed verification.
 //
-// chunks.idx ("AMAI", little-endian):
-//   u32 magic | u32 version | u64 generation
-//   u32 pack_count | pack_count * (u32 pack_id, u64 covered_bytes)
-//   u64 entry_count | entry_count * (digest[32], u32 pack_id, u32 size,
-//                                    u64 offset)
-//   u64 bucket_count | bucket_count * u32 entry-index (0xFFFFFFFF = empty)
-//   u32 crc32(everything before)
-// Buckets are an open-addressed table over the digest's first 8 bytes
-// (power-of-two size, <= 50% load, linear probing); `covered_bytes` lets the
-// next publish replay only the pack suffix an older index had not seen, so
-// a publish torn between "chunks appended" and "index renamed" self-heals.
-//
-// A corrupt or missing index never fails Open: the store degrades to an
-// in-memory map rebuilt by replaying every pack frame (metric
-// artifact.index_rebuilds), exactly like the experience tier. A corrupt
-// *chunk* is a different animal — GetChunk verifies the frame CRC, the
-// embedded digest, and the recomputed SHA-256 of the bytes, and returns a
-// typed kDataLoss (never the bytes) on any mismatch, quarantining the
-// digest (metric artifact.quarantined + quarantine.log).
+// A corrupt, missing or older-version index never fails Open: the store
+// degrades to an in-memory index of a replay of every pack frame (metric
+// artifact.index_rebuilds), exactly like the experience tier. A
+// corrupt *chunk* is a different animal — GetChunk verifies the frame CRC,
+// the embedded digest, and the recomputed SHA-256 of the bytes, and
+// returns a typed kDataLoss (never the bytes) on any mismatch,
+// quarantining the digest (metric artifact.quarantined + quarantine.log).
 class ChunkStore {
  public:
   struct Options {
@@ -71,22 +66,20 @@ class ChunkStore {
   };
 
   static Result<std::unique_ptr<ChunkStore>> Open(Options options);
-  ~ChunkStore();
 
   ChunkStore(const ChunkStore&) = delete;
   ChunkStore& operator=(const ChunkStore&) = delete;
 
   // Splits `blob` into chunk_size() pieces and appends the ones not already
   // stored, then atomically republishes the index. Serialized against other
-  // publishers (any process) via flock; metrics artifact.chunks_stored /
-  // artifact.bytes_stored / artifact.dedup_chunks / artifact.dedup_bytes.
+  // publishers (any process) via the index lock; metrics
+  // artifact.chunks_stored / artifact.bytes_stored / artifact.dedup_chunks /
+  // artifact.dedup_bytes.
   Result<PutResult> PutBlob(std::string_view blob);
 
   // Reads and verifies one chunk. kNotFound when the digest is unknown,
   // kDataLoss when the stored bytes fail any integrity check.
   Result<std::string> GetChunk(const Sha256Digest& digest);
-
-  bool Contains(const Sha256Digest& digest);
 
   // Rewrites the packs keeping only `live` chunks and publishes an index
   // over the survivors; old packs are deleted after the new index is in
@@ -96,46 +89,28 @@ class ChunkStore {
   // simply dropped). Metric artifact.gc_reclaimed_bytes.
   Result<uint64_t> CollectGarbage(const std::set<Sha256Digest>& live);
 
-  // Re-reads the published index if another process advanced it. Cheap
-  // (one stat) when nothing changed; GetChunk calls it on a miss, so
-  // cross-process publishes become visible without reopening the store.
-  void Refresh();
-
   size_t chunk_size() const { return chunk_size_; }
   // Chunks visible in the current index/fallback view (tests).
   size_t KnownChunks();
 
  private:
-  struct Loc {
-    uint32_t pack_id = 0;
-    uint32_t size = 0;    // chunk payload bytes
-    uint64_t offset = 0;  // frame start within the pack file
-  };
+  explicit ChunkStore(const std::string& dir);
 
-  ChunkStore() = default;
-
-  std::string PackPath(uint32_t pack_id) const;
-  // (Re)maps chunks.idx and validates it; on failure falls back to a full
-  // pack replay into fallback_. Caller holds mu_.
+  // (Re)loads chunks.idx, falling back to a full pack replay. Caller
+  // holds mu_.
   void LoadIndexLocked();
-  void UnmapLocked();
-  // Probes the mapped bucket table (or fallback_). Caller holds mu_.
-  bool FindLocked(const Sha256Digest& digest, Loc* loc) const;
-  // Stat-based change detection + remap. Caller holds mu_.
+  // Reloads the index if another process published since (one stat when
+  // nothing changed). Caller holds mu_.
   void RefreshLocked();
-  Result<std::string> ReadVerifiedLocked(const Sha256Digest& digest,
-                                         const Loc& loc);
+  // Index probe, refreshing once on a miss. Caller holds mu_.
+  bool LocateLocked(const Sha256Digest& digest, durable::FrameLoc* loc);
+  // The chunk at `loc` (in `draft`'s file table when given), after the
+  // frame CRC, embedded-digest and content-digest checks; any failure
+  // quarantines `digest`. Caller holds mu_.
+  Result<std::string> ReadVerifiedLocked(
+      const Sha256Digest& digest, const durable::FrameLoc& loc,
+      const durable::MmapHashIndex::Draft* draft = nullptr);
   void QuarantineLocked(const Sha256Digest& digest, const std::string& why);
-  // Publisher-side view: parses the current index (or replays packs) into
-  // `out`, then sweeps every pack's bytes past the covered offsets so a
-  // torn previous publish self-heals. Caller holds mu_ and the flock.
-  void CollectEntriesLocked(std::map<Sha256Digest, Loc>* out,
-                            std::map<uint32_t, uint64_t>* covered);
-  // Serializes + atomically replaces chunks.idx, then remaps it.
-  Status PublishIndexLocked(const std::map<Sha256Digest, Loc>& entries,
-                            const std::map<uint32_t, uint64_t>& covered);
-  // Pack ids present on disk, ascending. Caller holds mu_.
-  std::vector<uint32_t> ListPacksLocked() const;
 
   std::string dir_;
   size_t chunk_size_ = 0;
@@ -143,23 +118,7 @@ class ChunkStore {
 
   std::mutex mu_;  // guards everything below (one Registry is shared by
                    // job threads publishing and the event loop serving)
-  // mmap view of the published index; readers probe it without any lock
-  // against other processes (the CRC tail + atomic rename make a torn view
-  // impossible — they see the old file or the new one).
-  char* map_base_ = nullptr;
-  size_t map_len_ = 0;
-  uint64_t entry_count_ = 0;
-  size_t entries_off_ = 0;
-  uint64_t bucket_count_ = 0;
-  size_t buckets_off_ = 0;
-  uint64_t generation_ = 0;
-  // Identity of the mapped file (stat), for cheap change detection.
-  uint64_t map_ino_ = 0;
-  uint64_t map_size_ = 0;
-  int64_t map_mtime_ns_ = 0;
-  bool have_index_ = false;
-  // Replay fallback when the index is missing/corrupt.
-  std::map<Sha256Digest, Loc> fallback_;
+  durable::MmapHashIndex index_;
   std::set<Sha256Digest> quarantined_;
 };
 

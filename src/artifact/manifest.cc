@@ -1,13 +1,11 @@
 #include "artifact/manifest.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "common/bytes.h"
+#include "common/durable.h"
 #include "common/logging.h"
 
 namespace automc {
@@ -17,45 +15,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr uint32_t kManifestMagic = 0x4D414D41;  // "AMAM"
+constexpr std::string_view kManifestMagic = "AMAM";
 constexpr size_t kMaxNameLen = 128;
 constexpr size_t kMaxManifestBytes = 64u << 20;
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  std::string out;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-    if (out.size() > kMaxManifestBytes) {
-      std::fclose(f);
-      return Status::DataLoss("manifest " + path + " is implausibly large");
-    }
-  }
-  std::fclose(f);
-  return out;
-}
-
-Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::Internal("cannot write " + tmp);
-  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-            std::fflush(f) == 0;
-  if (ok) ::fsync(fileno(f));
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " into place");
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -155,12 +117,8 @@ Result<Manifest> Registry::Publish(const std::string& name,
   m.blob_digest = Sha256::Hash(blob);
   m.chunks = std::move(put->digests);
   m.prov = prov;
-  const std::string body = EncodeManifest(m);
-  ByteWriter w;
-  w.U32(kManifestMagic);
-  w.U32(Crc32(body));
-  w.Raw(body.data(), body.size());
-  AUTOMC_RETURN_IF_ERROR(WriteFileAtomic(ManifestPath(name), w.str()));
+  AUTOMC_RETURN_IF_ERROR(durable::WriteSealedFile(
+      ManifestPath(name), kManifestMagic, EncodeManifest(m)));
   return m;
 }
 
@@ -168,19 +126,13 @@ Result<Manifest> Registry::GetManifest(const std::string& name) {
   if (!ValidArtifactName(name)) {
     return Status::InvalidArgument("invalid artifact name '" + name + "'");
   }
-  auto bytes = ReadWholeFile(ManifestPath(name));
-  if (!bytes.ok()) return Status::NotFound("no artifact '" + name + "'");
-  ByteReader r(*bytes);
-  uint32_t magic = 0, crc = 0;
-  if (!r.U32(&magic) || !r.U32(&crc) || magic != kManifestMagic) {
-    return Status::DataLoss("manifest for '" + name + "' is not AMAM");
+  Result<std::string> body = durable::ReadSealedFile(
+      ManifestPath(name), kManifestMagic, kMaxManifestBytes);
+  if (body.status().code() == StatusCode::kNotFound) {
+    return Status::NotFound("no artifact '" + name + "'");
   }
-  const std::string_view body =
-      std::string_view(*bytes).substr(2 * sizeof(uint32_t));
-  if (Crc32(body) != crc) {
-    return Status::DataLoss("manifest for '" + name + "' failed CRC");
-  }
-  auto m = DecodeManifest(body);
+  AUTOMC_RETURN_IF_ERROR(body.status());
+  auto m = DecodeManifest(*body);
   AUTOMC_RETURN_IF_ERROR(m.status());
   if (m->name != name) {
     return Status::DataLoss("manifest for '" + name +

@@ -50,7 +50,7 @@ bool ValidArtifactName(std::string_view name);
 // order is chunks-first, manifest-last, so a crash in between leaves only
 // orphaned chunks (reclaimed by the next CollectGarbage), never a manifest
 // pointing at missing data. Safe to share across processes: manifests are
-// atomic-renamed files, chunk publishes are flock-serialized, and List()
+// atomically replaced files, chunk publishes are lock-serialized, and List()
 // always re-reads the directory.
 class Registry {
  public:

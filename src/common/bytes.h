@@ -60,20 +60,20 @@ class ByteReader {
   bool F64(double* v) { return Raw(v, sizeof(*v)); }
   bool Str(std::string* s) {
     uint32_t n = 0;
-    if (!U32(&n) || remaining() < n) return false;
+    if (!U32(&n) || !Fits(n, 1)) return false;
     s->assign(data_.substr(pos_, n));
     pos_ += n;
     return true;
   }
   bool Floats(std::vector<float>* v) {
     uint64_t n = 0;
-    if (!U64(&n) || remaining() < n * sizeof(float)) return false;
+    if (!U64(&n) || !Fits(n, sizeof(float))) return false;
     v->resize(static_cast<size_t>(n));
     return Raw(v->data(), static_cast<size_t>(n) * sizeof(float));
   }
   bool Ints(std::vector<int>* v) {
     uint32_t n = 0;
-    if (!U32(&n) || remaining() < n * sizeof(int32_t)) return false;
+    if (!U32(&n) || !Fits(n, sizeof(int32_t))) return false;
     v->resize(n);
     for (uint32_t i = 0; i < n; ++i) {
       int32_t x = 0;
@@ -84,7 +84,7 @@ class ByteReader {
   }
   bool Raw(void* dst, size_t n) {
     if (remaining() < n) return false;
-    std::memcpy(dst, data_.data() + pos_, n);
+    if (n > 0) std::memcpy(dst, data_.data() + pos_, n);  // dst may be null
     pos_ += n;
     return true;
   }
@@ -93,6 +93,13 @@ class ByteReader {
   bool Done() const { return pos_ == data_.size(); }
 
  private:
+  // True when `count` elements of `elem_size` bytes fit in the unread
+  // bytes. Dividing instead of multiplying keeps a hostile count (up to
+  // 2^64 - 1) from wrapping the product past the check.
+  bool Fits(uint64_t count, size_t elem_size) const {
+    return count <= remaining() / elem_size;
+  }
+
   std::string_view data_;
   size_t pos_ = 0;
 };

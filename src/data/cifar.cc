@@ -1,6 +1,8 @@
 #include "data/cifar.h"
 
-#include <fstream>
+#include <string_view>
+
+#include "common/durable.h"
 
 namespace automc {
 namespace data {
@@ -11,21 +13,8 @@ float NormalizePixel(uint8_t v) {
   return (static_cast<float>(v) / 255.0f - 0.5f) * 2.0f;
 }
 
-// Reads a whole file into a byte buffer.
-Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
-  std::streamsize size = in.tellg();
-  in.seekg(0, std::ios::beg);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (!in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::Internal("read failure on " + path);
-  }
-  return bytes;
-}
-
 // Appends the records of one buffer to the dataset arrays.
-Status AppendRecords(const std::vector<uint8_t>& bytes, int record_bytes,
+Status AppendRecords(std::string_view bytes, int record_bytes,
                      int label_offset, std::vector<float>* pixels,
                      std::vector<int>* labels) {
   if (bytes.size() % static_cast<size_t>(record_bytes) != 0) {
@@ -34,7 +23,8 @@ Status AppendRecords(const std::vector<uint8_t>& bytes, int record_bytes,
   }
   size_t records = bytes.size() / static_cast<size_t>(record_bytes);
   for (size_t r = 0; r < records; ++r) {
-    const uint8_t* rec = bytes.data() + r * static_cast<size_t>(record_bytes);
+    const auto* rec = reinterpret_cast<const uint8_t*>(bytes.data()) +
+                      r * static_cast<size_t>(record_bytes);
     labels->push_back(rec[label_offset]);
     const uint8_t* img = rec + (record_bytes - kCifarImageBytes);
     for (int i = 0; i < kCifarImageBytes; ++i) {
@@ -74,7 +64,7 @@ Result<Dataset> LoadCifar10(const std::vector<std::string>& batch_paths,
   std::vector<float> pixels;
   std::vector<int> labels;
   for (const std::string& path : batch_paths) {
-    AUTOMC_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
+    AUTOMC_ASSIGN_OR_RETURN(std::string bytes, durable::ReadFile(path));
     AUTOMC_RETURN_IF_ERROR(AppendRecords(bytes, kCifar10RecordBytes,
                                          /*label_offset=*/0, &pixels,
                                          &labels));
@@ -84,7 +74,7 @@ Result<Dataset> LoadCifar10(const std::vector<std::string>& batch_paths,
 
 Result<Dataset> LoadCifar100(const std::string& path,
                              const std::string& name) {
-  AUTOMC_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
+  AUTOMC_ASSIGN_OR_RETURN(std::string bytes, durable::ReadFile(path));
   std::vector<float> pixels;
   std::vector<int> labels;
   // Fine label is the second byte of each record.

@@ -53,7 +53,7 @@ class Coordinator : public RequestHandler {
     std::string shared_dir;
     // Shared model artifact registry; empty reads $AUTOMC_ARTIFACT_DIR,
     // else <workdir>/artifacts. Every worker's JobManager publishes into
-    // it (flock-serialized), and the coordinator serves FetchModel /
+    // it (lock-serialized), and the coordinator serves FetchModel /
     // ListArtifacts from it directly — no worker round-trip, so a
     // published model stays fetchable even while its worker is down.
     std::string artifact_dir;
@@ -73,7 +73,7 @@ class Coordinator : public RequestHandler {
   // ListJobs fans out and merges.
   server::Frame Handle(const server::Frame& request) override;
   // kFetchModel streams straight from the shared registry (chunk reads
-  // are lock-free mmap probes; no worker involved).
+  // are lock-free mapped probes; no worker involved).
   std::unique_ptr<ReplyStream> HandleStream(
       uint64_t client, const server::Frame& request) override;
 

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/bytes.h"
+#include "common/durable.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "nn/serialize.h"
@@ -25,71 +24,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// CRC-guarded single-blob files (spec.bin / outcome.bin):
-//   u32 magic | u32 crc32(body) | body
-constexpr uint32_t kSpecMagic = 0x4A434D41;     // "AMCJ"
-constexpr uint32_t kOutcomeMagic = 0x4F434D41;  // "AMCO"
+// Headers of the sealed single-blob files (durable::WriteSealedFile).
+constexpr std::string_view kSpecMagic = "AMCJ";
+constexpr std::string_view kOutcomeMagic = "AMCO";
 
 int JobsFromEnv() {
   const char* env = std::getenv("AUTOMC_SERVER_JOBS");
   if (env == nullptr || *env == '\0') return 1;
   int v = std::atoi(env);
   return v > 0 ? v : 1;
-}
-
-// tmp + fsync + rename, same crash discipline as the checkpointer: a kill
-// at any instant leaves either the old file or the new one.
-Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot write " + tmp + ": " +
-                            std::strerror(errno));
-  }
-  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-            std::fflush(f) == 0;
-  if (ok) ::fsync(fileno(f));
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " into place: " +
-                            std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-Status WriteGuardedBlob(const std::string& path, uint32_t magic,
-                        std::string_view body) {
-  ByteWriter w;
-  w.U32(magic);
-  w.U32(Crc32(body));
-  w.Raw(body.data(), body.size());
-  return WriteFileAtomic(path, w.str());
-}
-
-Result<std::string> ReadGuardedBlob(const std::string& path, uint32_t magic) {
-  AUTOMC_ASSIGN_OR_RETURN(std::string data, ReadFile(path));
-  ByteReader r(data);
-  uint32_t got_magic = 0, crc = 0;
-  if (!r.U32(&got_magic) || !r.U32(&crc) || got_magic != magic) {
-    return Status::InvalidArgument(path + " has a bad header");
-  }
-  std::string_view body(data.data() + 8, data.size() - 8);
-  if (Crc32(body) != crc) {
-    return Status::InvalidArgument(path + " failed CRC validation");
-  }
-  return std::string(body);
 }
 
 }  // namespace
@@ -154,7 +97,7 @@ Status JobManager::PersistState(const Job& job) const {
     body += job.error;
     body.push_back('\n');
   }
-  return WriteFileAtomic(JobDir(job.id) + "/state", body);
+  return durable::AtomicWriteFile(JobDir(job.id) + "/state", body);
 }
 
 JobInfo JobManager::InfoOf(const Job& job) const {
@@ -184,7 +127,7 @@ Status JobManager::Recover() {
     auto job = std::make_unique<Job>();
     job->id = id;
     Result<std::string> spec_body =
-        ReadGuardedBlob(JobDir(id) + "/spec.bin", kSpecMagic);
+        durable::ReadSealedFile(JobDir(id) + "/spec.bin", kSpecMagic);
     if (!spec_body.ok()) continue;  // torn Submit: no durable job yet
     ByteReader r(*spec_body);
     if (!core::DecodeRunSpec(&r, &job->spec) || !r.Done()) continue;
@@ -192,7 +135,8 @@ Status JobManager::Recover() {
     // A missing/torn state file can only come from a kill between writing
     // spec.bin and state — the job was accepted but never started.
     job->state = JobState::kQueued;
-    if (Result<std::string> state_body = ReadFile(JobDir(id) + "/state");
+    if (Result<std::string> state_body =
+            durable::ReadFile(JobDir(id) + "/state");
         state_body.ok()) {
       std::string_view body = *state_body;
       const size_t nl = body.find('\n');
@@ -210,7 +154,8 @@ Status JobManager::Recover() {
 
     if (job->state == JobState::kDone) {
       if (Result<std::string> outcome =
-              ReadGuardedBlob(JobDir(id) + "/outcome.bin", kOutcomeMagic);
+              durable::ReadSealedFile(JobDir(id) + "/outcome.bin",
+                                      kOutcomeMagic);
           outcome.ok()) {
         if (Result<search::SearchOutcome> decoded =
                 search::LoadOutcomeBytes(*outcome);
@@ -287,8 +232,8 @@ Result<uint64_t> JobManager::SubmitInternal(uint64_t want_id,
   job->spec = spec;
   ByteWriter w;
   core::EncodeRunSpec(spec, &w);
-  AUTOMC_RETURN_IF_ERROR(
-      WriteGuardedBlob(JobDir(id) + "/spec.bin", kSpecMagic, w.str()));
+  AUTOMC_RETURN_IF_ERROR(durable::WriteSealedFile(JobDir(id) + "/spec.bin",
+                                                  kSpecMagic, w.str()));
   AUTOMC_RETURN_IF_ERROR(PersistState(*job));
 
   jobs_[id] = std::move(job);
@@ -354,7 +299,8 @@ Result<std::string> JobManager::OutcomeBytes(uint64_t id) const {
           JobStateName(it->second->state) + ", not DONE");
     }
   }
-  return ReadGuardedBlob(JobDir(id) + "/outcome.bin", kOutcomeMagic);
+  return durable::ReadSealedFile(JobDir(id) + "/outcome.bin", kOutcomeMagic,
+                                 kMaxFramePayload);
 }
 
 void JobManager::StartWorkers() {
@@ -397,7 +343,6 @@ void JobManager::RunJob(Job* job) {
 
   store::SearchCheckpointer::Options ckpt_opts;
   ckpt_opts.dir = dir;
-  ckpt_opts.abort_after_writes = options_.crash_after_checkpoints;
   store::SearchCheckpointer checkpointer(ckpt_opts);
   if (automc::Status st = checkpointer.LoadPending();
       !st.ok() && st.code() != StatusCode::kNotFound) {
@@ -421,7 +366,7 @@ void JobManager::RunJob(Job* job) {
   hooks.store = store->get();
 
   // Attach the fleet's shared experience tier (when configured): local
-  // store misses fall through to the mmap index, so schemes any worker
+  // store misses fall through to the mapped index, so schemes any worker
   // already evaluated are served without a real strategy execution. A
   // broken tier only degrades to cold evaluation — never fails the job.
   std::unique_ptr<store::ExperienceIndex> shared;
@@ -509,7 +454,8 @@ void JobManager::RunJob(Job* job) {
   if (result.ok()) {
     const std::string bytes = search::SaveOutcomeBytes(result->outcome);
     if (automc::Status st =
-            WriteGuardedBlob(dir + "/outcome.bin", kOutcomeMagic, bytes);
+            durable::WriteSealedFile(dir + "/outcome.bin", kOutcomeMagic,
+                                     bytes);
         !st.ok()) {
       job->state = JobState::kFailed;
       job->error = "cannot persist outcome: " + st.message();
@@ -536,16 +482,6 @@ void JobManager::RunJob(Job* job) {
       (void)PersistState(*job);
       AUTOMC_METRIC_COUNT("server.jobs_parked");
     }
-    return;
-  }
-
-  if (options_.crash_after_checkpoints > 0 &&
-      result.status().code() == StatusCode::kInternal) {
-    // Fault injection tripped: leave the durable state exactly as a SIGKILL
-    // would — RUNNING on disk, a valid checkpoint + store beside it.
-    job->state = JobState::kFailed;
-    job->error = result.status().message();
-    job->simulated_crash = true;
     return;
   }
 

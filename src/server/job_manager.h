@@ -76,7 +76,7 @@ class FairQueue {
 //
 // Every job owns a directory <workdir>/jobs/<id>/ holding
 //   spec.bin    — the CRC-guarded RunSpec, written before Submit returns;
-//   state       — the current JobState (atomic tmp+rename replace);
+//   state       — the current JobState (durable::AtomicWriteFile);
 //   store.bin   — the job's private experience store (PR-3);
 //   checkpoint.bin — the job's private search checkpoint (PR-3);
 //   outcome.bin — the CRC-guarded SaveOutcomeBytes payload once DONE.
@@ -107,7 +107,7 @@ class JobManager {
     int queue_capacity = 64;
     // Shared experience tier directory (the fleet's cross-worker cache).
     // Empty reads $AUTOMC_EXPERIENCE_INDEX; empty in both places = off.
-    // When set, each job's private store consults the tier's mmap index
+    // When set, each job's private store consults the tier's mapped index
     // on local misses, and every finished job's records are appended to
     // `shared_segment` + republished — so a scheme any worker evaluated
     // is never executed again anywhere in the fleet.
@@ -119,14 +119,9 @@ class JobManager {
     // published here as "job-<id>" (best effort — a publish failure never
     // fails the job). Empty reads $AUTOMC_ARTIFACT_DIR, else defaults to
     // <workdir>/artifacts. Fleet workers all point at the coordinator's
-    // shared directory: publishes are flock-serialized, fetches are
-    // lock-free mmap reads, so any worker's model is fetchable anywhere.
+    // shared directory: publishes are lock-serialized, fetches are
+    // lock-free mapped reads, so any worker's model is fetchable anywhere.
     std::string artifact_dir;
-    // Test-only fault injection: each job's checkpointer aborts after this
-    // many checkpoint writes and the job thread abandons the job without
-    // touching its durable state — exactly what SIGKILL mid-search leaves
-    // behind (state RUNNING, a valid checkpoint, a valid store). 0 off.
-    int crash_after_checkpoints = 0;
     // Test-only: don't start job threads; Submit still persists + queues.
     // Lets tests model "the server died with jobs still queued".
     bool start_paused = false;
@@ -189,8 +184,6 @@ class JobManager {
     int32_t executions = -1;
     search::StopToken stop;
     bool cancel_requested = false;
-    // Set when fault injection abandoned the job mid-run (test-only).
-    bool simulated_crash = false;
   };
 
   explicit JobManager(Options options);

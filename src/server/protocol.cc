@@ -6,10 +6,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "common/bytes.h"
+#include "common/durable.h"
 #include "common/net.h"
 #include "common/sha256.h"
 
@@ -466,27 +466,7 @@ Result<ArtifactInfo> Client::FetchModel(const std::string& name,
 Status WriteStreamToFile(
     const std::string& path,
     const std::function<Status(const Client::ChunkSink&)>& produce) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::Internal("cannot write " + tmp);
-  Status st = produce([f, &tmp](std::string_view chunk) -> Status {
-    if (std::fwrite(chunk.data(), 1, chunk.size(), f) != chunk.size()) {
-      return Status::Internal("short write on " + tmp);
-    }
-    return Status::OK();
-  });
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (!st.ok() || !flushed) {
-    std::remove(tmp.c_str());
-    if (!st.ok()) return st;
-    return Status::Internal("short write on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " into place");
-  }
-  return Status::OK();
+  return durable::AtomicWriteFile(path, produce);
 }
 
 Result<ArtifactInfo> Client::FetchModelToFile(const std::string& name,

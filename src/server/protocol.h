@@ -192,7 +192,7 @@ class Client {
   using ChunkSink = std::function<Status(std::string_view chunk)>;
   Result<ArtifactInfo> FetchModel(const std::string& name,
                                   const ChunkSink& sink);
-  // FetchModel into a file (written atomically: tmp + rename on success).
+  // FetchModel into a file (written atomically, see WriteStreamToFile).
   Result<ArtifactInfo> FetchModelToFile(const std::string& name,
                                         const std::string& path);
   Result<std::vector<ArtifactInfo>> ListArtifacts();
@@ -202,7 +202,7 @@ class Client {
   // FetchModel, so --serve-result and --serve-fetch-model share one
   // write-to-file path.
   Status FetchOutcomeToSink(uint64_t id, const ChunkSink& sink);
-  // FetchOutcomeToSink into a file (atomically: tmp + rename on success).
+  // FetchOutcomeToSink into a file (atomically, see WriteStreamToFile).
   Status FetchOutcomeToFile(uint64_t id, const std::string& path);
 
   // One raw round-trip (tests use this to probe protocol edges).
@@ -213,12 +213,12 @@ class Client {
   int fd_ = -1;
 };
 
-// The atomic file sink behind every streaming *ToFile fetch: opens
-// `path`.tmp, hands `produce` a ChunkSink appending to it, and renames into
-// place only on a fully verified stream + clean flush; any failure removes
-// the temp file so a torn download never looks like a model. Exposed so
-// callers composing their own fetches (tests, tools) reuse the exact
-// tmp+rename discipline.
+// The atomic file sink behind every streaming *ToFile fetch
+// (durable::AtomicWriteFile): hands `produce` a ChunkSink writing to a temp
+// file unique to this call, and replaces `path` only on a fully verified
+// stream; any failure removes the temp file so a torn download never looks
+// like a model, and concurrent fetches to one path never mix their bytes.
+// Exposed so callers composing their own fetches (tests, tools) reuse it.
 Status WriteStreamToFile(
     const std::string& path,
     const std::function<Status(const Client::ChunkSink&)>& produce);

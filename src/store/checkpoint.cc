@@ -1,14 +1,10 @@
 #include "store/checkpoint.h"
 
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <string_view>
 
 #include "common/bytes.h"
+#include "common/durable.h"
 #include "common/metrics.h"
 
 namespace automc {
@@ -16,8 +12,8 @@ namespace store {
 
 namespace {
 
-constexpr char kMagic[4] = {'A', 'M', 'C', 'K'};
-constexpr uint32_t kVersion = 1;
+// The sealed file's header: magic "AMCK", then u32 version 1.
+constexpr std::string_view kHeader("AMCK\1\0\0\0", 8);
 
 int EveryFromEnv() {
   const char* env = std::getenv("AUTOMC_CHECKPOINT_EVERY");
@@ -38,27 +34,9 @@ std::string SearchCheckpointer::checkpoint_path() const {
 }
 
 Status SearchCheckpointer::LoadPending() {
-  std::ifstream in(checkpoint_path(), std::ios::binary);
-  if (!in.is_open()) {
-    return Status::NotFound("no checkpoint at " + checkpoint_path());
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (data.size() < 12 || std::memcmp(data.data(), kMagic, 4) != 0) {
-    return Status::InvalidArgument(checkpoint_path() +
-                                   " is not a checkpoint file");
-  }
-  uint32_t version = 0, crc = 0;
-  std::memcpy(&version, data.data() + 4, sizeof(version));
-  std::memcpy(&crc, data.data() + 8, sizeof(crc));
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported checkpoint version");
-  }
-  std::string_view body(data.data() + 12, data.size() - 12);
-  if (Crc32(body) != crc) {
-    return Status::InvalidArgument("checkpoint failed CRC validation: " +
-                                   checkpoint_path());
-  }
+  // kNotFound: no checkpoint yet.
+  AUTOMC_ASSIGN_OR_RETURN(std::string body,
+                          durable::ReadSealedFile(checkpoint_path(), kHeader));
   ByteReader r(body);
   uint32_t count = 0;
   if (!r.U32(&count)) return Status::InvalidArgument("truncated checkpoint");
@@ -96,10 +74,6 @@ bool SearchCheckpointer::ShouldCheckpoint() {
 }
 
 Status SearchCheckpointer::Write(std::map<std::string, std::string> sections) {
-  if (options_.abort_after_writes > 0 &&
-      writes_ >= options_.abort_after_writes) {
-    return Status::Internal("checkpointer fault injection: simulated crash");
-  }
   for (const auto& [name, blob] : sticky_) sections[name] = blob;
 
   ByteWriter body;
@@ -109,34 +83,8 @@ Status SearchCheckpointer::Write(std::map<std::string, std::string> sections) {
     body.Str(blob);
   }
 
-  ByteWriter file;
-  file.Raw(kMagic, 4);
-  file.U32(kVersion);
-  file.U32(Crc32(body.str()));
-  file.Raw(body.str().data(), body.str().size());
-
-  const std::string tmp = checkpoint_path() + ".tmp";
-  {
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr) {
-      return Status::NotFound("cannot write checkpoint: " + tmp + ": " +
-                              std::strerror(errno));
-    }
-    const std::string& bytes = file.str();
-    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-              std::fflush(f) == 0;
-    if (ok) ::fsync(fileno(f));
-    std::fclose(f);
-    if (!ok) {
-      std::remove(tmp.c_str());
-      return Status::Internal("short write on " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), checkpoint_path().c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename checkpoint into place: " +
-                            std::string(std::strerror(errno)));
-  }
+  AUTOMC_RETURN_IF_ERROR(
+      durable::WriteSealedFile(checkpoint_path(), kHeader, body.str()));
   ++writes_;
   AUTOMC_METRIC_COUNT("checkpoint.writes");
   return Status::OK();

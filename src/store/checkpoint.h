@@ -14,10 +14,10 @@ namespace store {
 //
 // A checkpoint is a named-section blob (the search layer contributes
 // "searcher" / "evaluator" / "config" sections; the core pipeline adds its
-// own). Writes go to <dir>/checkpoint.bin.tmp, are fsync'd, then renamed
-// over <dir>/checkpoint.bin — a crash leaves either the old checkpoint or
-// the new one, never a torn file. The payload carries a CRC32 so a damaged
-// file is rejected on load instead of resuming from garbage.
+// own). Each write replaces <dir>/checkpoint.bin through
+// durable::AtomicWriteFile — a crash or power loss leaves either the old
+// checkpoint or the new one, never a torn file. The payload carries a CRC32
+// so a damaged file is rejected on load instead of resuming from garbage.
 //
 // Cadence: searchers call ShouldCheckpoint() once per round; every N-th
 // round is persisted (N from Options.every_rounds, else the
@@ -27,10 +27,6 @@ class SearchCheckpointer {
   struct Options {
     std::string dir;       // checkpoint lives at <dir>/checkpoint.bin
     int every_rounds = 0;  // 0 => $AUTOMC_CHECKPOINT_EVERY, default 1
-    // Fault-injection hook for crash tests: after this many successful
-    // writes, Write() fails with an Internal error, simulating a process
-    // that died mid-search with a valid checkpoint on disk. 0 disables.
-    int abort_after_writes = 0;
   };
 
   explicit SearchCheckpointer(Options options);

@@ -1,17 +1,6 @@
 #include "store/experience_index.h"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <set>
 
 #include "common/bytes.h"
 #include "common/logging.h"
@@ -25,354 +14,84 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kIndexMagic = 0x49584D41;  // "AMXI" read little-endian
-constexpr uint32_t kIndexVersion = 1;
-constexpr uint32_t kEmptySegment = 0xFFFFFFFFu;
-constexpr size_t kBucketBytes = 8 + 4 + 8;  // key_hash | segment_id | offset
-constexpr size_t kMinBuckets = 64;
 
-struct IndexImage {
-  uint64_t generation = 0;
-  uint64_t record_count = 0;
-  uint32_t bucket_count = 0;
-  // name -> bytes of that segment already covered by the buckets.
-  std::vector<std::pair<std::string, uint64_t>> segments;
-  size_t bucket_base = 0;  // byte offset of the bucket region
-};
-
-// Parses + CRC-validates a whole index image. False on any corruption —
-// the caller falls back to replaying the segments.
-bool ParseIndex(std::string_view data, IndexImage* out) {
-  if (data.size() < 32 + 4) return false;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
-  if (Crc32(data.substr(0, data.size() - 4)) != stored_crc) return false;
-
-  ByteReader r(data.substr(0, data.size() - 4));
-  uint32_t magic = 0, version = 0, nseg = 0;
-  if (!r.U32(&magic) || !r.U32(&version) || magic != kIndexMagic ||
-      version != kIndexVersion) {
-    return false;
-  }
-  if (!r.U64(&out->generation) || !r.U64(&out->record_count) ||
-      !r.U32(&out->bucket_count) || !r.U32(&nseg)) {
-    return false;
-  }
-  if (out->bucket_count < kMinBuckets ||
-      (out->bucket_count & (out->bucket_count - 1)) != 0) {
-    return false;
-  }
-  out->segments.clear();
-  for (uint32_t i = 0; i < nseg; ++i) {
-    std::string name;
-    uint64_t covered = 0;
-    if (!r.Str(&name) || !r.U64(&covered)) return false;
-    out->segments.emplace_back(std::move(name), covered);
-  }
-  out->bucket_base = data.size() - 4 - r.remaining();
-  return r.remaining() ==
-         static_cast<size_t>(out->bucket_count) * kBucketBytes;
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::Internal("read failure on " + path);
-  return data;
-}
-
-// Replays one AMXP segment from `from` onward, invoking fn(key_bytes,
-// offset-of-frame) per valid record. Returns the clean end offset (start
-// of any torn tail). A missing file or foreign header yields `from`.
-template <typename Fn>
-uint64_t ReplaySegment(const std::string& path, uint64_t from, Fn&& fn) {
-  Result<std::string> data = ReadWholeFile(path);
-  if (!data.ok()) return from;
-  if (data->size() < kExperienceHeaderSize ||
-      std::memcmp(data->data(), kExperienceMagic, 4) != 0) {
-    return from;
-  }
-  size_t pos = std::max<uint64_t>(from, kExperienceHeaderSize);
-  while (pos + 8 <= data->size()) {
-    uint32_t len = 0, crc = 0;
-    std::memcpy(&len, data->data() + pos, sizeof(len));
-    std::memcpy(&crc, data->data() + pos + 4, sizeof(crc));
-    if (len > kExperienceMaxPayload || pos + 8 + len > data->size()) break;
-    std::string_view payload(data->data() + pos + 8, len);
-    if (Crc32(payload) != crc) break;
-    Fingerprint fp;
-    EvalRecord rec;
-    if (!DecodeExperiencePayload(payload, &fp, &rec)) break;
-    fn(ExperienceKeyBytes(fp, rec.scheme), static_cast<uint64_t>(pos));
-    pos += 8 + len;
-  }
-  return pos;
-}
-
-std::vector<std::string> ListSegments(const std::string& dir) {
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(ExperienceIndex::kSegmentPrefix, 0) == 0 &&
-        name.size() > 4 && name.substr(name.size() - 4) == ".bin") {
-      names.push_back(name);
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-struct BuildEntry {
-  uint64_t key_hash = 0;
-  uint32_t segment_id = 0;
-  uint64_t offset = 0;
-};
-
-// Serializes the index image: header, segment table, open-addressed
-// bucket array (linear probing, <= 50% load), trailing CRC.
-std::string BuildIndexBytes(
-    uint64_t generation,
-    const std::vector<std::pair<std::string, uint64_t>>& segments,
-    const std::vector<BuildEntry>& entries) {
-  size_t buckets = kMinBuckets;
-  while (buckets < entries.size() * 2) buckets *= 2;
-
+// The 8-byte key a record is indexed under: FNV-1a of its key bytes.
+std::string HashKey(const Fingerprint& fp, const std::vector<int>& scheme) {
+  const std::string key = ExperienceKeyBytes(fp, scheme);
   ByteWriter w;
-  w.U32(kIndexMagic);
-  w.U32(kIndexVersion);
-  w.U64(generation);
-  w.U64(static_cast<uint64_t>(entries.size()));
-  w.U32(static_cast<uint32_t>(buckets));
-  w.U32(static_cast<uint32_t>(segments.size()));
-  for (const auto& [name, covered] : segments) {
-    w.Str(name);
-    w.U64(covered);
-  }
-
-  std::vector<BuildEntry> table(buckets);
-  for (auto& slot : table) slot.segment_id = kEmptySegment;
-  const uint64_t mask = buckets - 1;
-  for (const BuildEntry& e : entries) {
-    uint64_t i = e.key_hash & mask;
-    while (table[i].segment_id != kEmptySegment) i = (i + 1) & mask;
-    table[i] = e;
-  }
-  for (const BuildEntry& slot : table) {
-    w.U64(slot.key_hash);
-    w.U32(slot.segment_id);
-    w.U64(slot.offset);
-  }
-  w.U32(Crc32(w.str()));
+  w.U64(Fnv1a(key.data(), key.size()));
   return w.Take();
 }
 
-Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot write " + tmp + ": " +
-                            std::strerror(errno));
-  }
-  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-            std::fflush(f) == 0;
-  if (ok) ::fsync(fileno(f));
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " into place: " +
-                            std::strerror(errno));
-  }
-  return Status::OK();
+durable::MmapHashIndex::Spec IndexSpec(const std::string& dir) {
+  durable::MmapHashIndex::Spec spec;
+  spec.index_path = dir + "/" + ExperienceIndex::kIndexFile;
+  spec.lock_path = dir + "/" + ExperienceIndex::kLockFile;
+  spec.data_dir = dir;
+  spec.magic = kIndexMagic;
+  spec.key_bytes = 8;
+  spec.file_header = ExperienceFileHeader();
+  spec.max_payload = kExperienceMaxPayload;
+  spec.is_data_file = [](std::string_view name) {
+    return name.size() > 4 &&
+           name.rfind(ExperienceIndex::kSegmentPrefix, 0) == 0 &&
+           name.substr(name.size() - 4) == ".bin";
+  };
+  spec.key_of = [](std::string_view payload, std::string* key) {
+    Fingerprint fp;
+    EvalRecord rec;
+    if (!DecodeExperiencePayload(payload, &fp, &rec)) return false;
+    *key = HashKey(fp, rec.scheme);
+    return true;
+  };
+  return spec;
 }
-
-// RAII flock over <dir>/index.lock — writers serialize on this; readers
-// never touch it.
-class PublishLock {
- public:
-  static Result<PublishLock> Acquire(const std::string& dir) {
-    int fd = ::open((dir + "/" + ExperienceIndex::kLockFile).c_str(),
-                    O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (fd < 0) {
-      return Status::Internal("cannot open index lock in " + dir + ": " +
-                              std::strerror(errno));
-    }
-    while (::flock(fd, LOCK_EX) != 0) {
-      if (errno != EINTR) {
-        Status st = Status::Internal(std::string("flock: ") +
-                                     std::strerror(errno));
-        ::close(fd);
-        return st;
-      }
-    }
-    return PublishLock(fd);
-  }
-  PublishLock(PublishLock&& o) noexcept : fd_(o.fd_) { o.fd_ = -1; }
-  PublishLock(const PublishLock&) = delete;
-  ~PublishLock() {
-    if (fd_ >= 0) ::close(fd_);  // releases the flock
-  }
-
- private:
-  explicit PublishLock(int fd) : fd_(fd) {}
-  int fd_ = -1;
-};
 
 }  // namespace
 
-ExperienceIndex::~ExperienceIndex() {
-  if (map_ != nullptr) ::munmap(map_, map_size_);
-  for (int fd : segment_fds_) {
-    if (fd >= 0) ::close(fd);
-  }
-}
-
-Status ExperienceIndex::OpenSegments(const std::vector<std::string>& names) {
-  segment_names_ = names;
-  segment_fds_.assign(names.size(), -1);
-  for (size_t i = 0; i < names.size(); ++i) {
-    // A segment listed in the index but deleted since is tolerated:
-    // lookups into it simply miss (fd stays -1).
-    segment_fds_[i] =
-        ::open((dir_ + "/" + names[i]).c_str(), O_RDONLY | O_CLOEXEC);
-  }
-  return Status::OK();
-}
+ExperienceIndex::ExperienceIndex(const std::string& dir)
+    : index_(IndexSpec(dir)) {}
 
 Result<std::unique_ptr<ExperienceIndex>> ExperienceIndex::OpenOrRebuild(
     const std::string& dir) {
-  auto index = std::unique_ptr<ExperienceIndex>(new ExperienceIndex());
-  index->dir_ = dir;
-
-  const std::string index_path = dir + "/" + kIndexFile;
-  int fd = ::open(index_path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd >= 0) {
-    struct stat st{};
-    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      void* map = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
-                         MAP_PRIVATE, fd, 0);
-      if (map != MAP_FAILED) {
-        IndexImage image;
-        if (ParseIndex(std::string_view(static_cast<const char*>(map),
-                                        static_cast<size_t>(st.st_size)),
-                       &image)) {
-          index->map_ = map;
-          index->map_size_ = static_cast<size_t>(st.st_size);
-          index->buckets_ =
-              static_cast<const unsigned char*>(map) + image.bucket_base;
-          index->bucket_count_ = image.bucket_count;
-          index->generation_ = image.generation;
-          index->records_ = static_cast<size_t>(image.record_count);
-          std::vector<std::string> names;
-          names.reserve(image.segments.size());
-          for (const auto& [name, covered] : image.segments) {
-            names.push_back(name);
-          }
-          ::close(fd);
-          AUTOMC_RETURN_IF_ERROR(index->OpenSegments(names));
-          return index;
-        }
-        ::munmap(map, static_cast<size_t>(st.st_size));
-      }
+  auto index = std::unique_ptr<ExperienceIndex>(new ExperienceIndex(dir));
+  const durable::MmapHashIndex::LoadState state = index->index_.Load();
+  if (state != durable::MmapHashIndex::LoadState::kMapped) {
+    // Missing/torn/corrupt/older index: the segments are the source of
+    // truth. Serve from an in-memory replay; the next publish repairs the
+    // file.
+    std::error_code ec;
+    if (!fs::is_directory(dir, ec)) {
+      return Status::NotFound("experience dir missing: " + dir);
     }
-    ::close(fd);
-  }
-
-  // Missing/torn/corrupt index: the segments are the source of truth.
-  // Serve from an in-memory replay; the next publish repairs the file.
-  index->rebuilt_ = true;
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec)) {
-    return Status::NotFound("experience dir missing: " + dir);
-  }
-  std::vector<std::string> names = ListSegments(dir);
-  AUTOMC_RETURN_IF_ERROR(index->OpenSegments(names));
-  for (size_t i = 0; i < names.size(); ++i) {
-    ReplaySegment(dir + "/" + names[i], 0,
-                  [&](std::string key, uint64_t offset) {
-                    index->fallback_.emplace(
-                        std::move(key),
-                        Entry{static_cast<uint32_t>(i), offset});
-                  });
-  }
-  index->records_ = index->fallback_.size();
-  AUTOMC_METRIC_COUNT("store.index_rebuilds");
-  if (::access(index_path.c_str(), F_OK) == 0) {
-    AUTOMC_LOG(Warning) << "experience index " << index_path
-                        << " unreadable; rebuilt " << index->records_
-                        << " records from " << names.size() << " segments";
+    index->rebuilt_ = true;
+    AUTOMC_METRIC_COUNT("store.index_rebuilds");
+    if (state == durable::MmapHashIndex::LoadState::kUnusable) {
+      AUTOMC_LOG(Warning) << "experience index " << dir << "/" << kIndexFile
+                          << " unusable; rebuilt " << index->size()
+                          << " records from "
+                          << index->index_.files().size() << " segments";
+    }
   }
   return index;
-}
-
-bool ExperienceIndex::LoadRecord(uint32_t segment_id, uint64_t offset,
-                                 Fingerprint* fp, EvalRecord* rec) const {
-  if (segment_id >= segment_fds_.size()) return false;
-  int fd = segment_fds_[segment_id];
-  if (fd < 0) return false;
-  uint32_t header[2];  // payload len | payload crc
-  if (::pread(fd, header, sizeof(header), static_cast<off_t>(offset)) !=
-      static_cast<ssize_t>(sizeof(header))) {
-    return false;
-  }
-  if (header[0] > kExperienceMaxPayload) return false;
-  std::string payload(header[0], '\0');
-  if (::pread(fd, payload.data(), payload.size(),
-              static_cast<off_t>(offset + sizeof(header))) !=
-      static_cast<ssize_t>(payload.size())) {
-    return false;
-  }
-  if (Crc32(payload) != header[1]) return false;
-  return DecodeExperiencePayload(payload, fp, rec);
 }
 
 Result<bool> ExperienceIndex::Find(const Fingerprint& fp,
                                    const std::vector<int>& scheme,
                                    EvalRecord* out) const {
-  const std::string key = ExperienceKeyBytes(fp, scheme);
-
-  if (rebuilt_) {
-    auto it = fallback_.find(key);
-    if (it == fallback_.end()) return false;
-    Fingerprint got_fp;
-    if (!LoadRecord(it->second.segment_id, it->second.offset, &got_fp, out)) {
-      return false;
-    }
-    return true;
+  durable::FrameLoc loc;
+  if (!index_.Find(HashKey(fp, scheme), &loc)) return false;
+  // A hash match is not identity: read the record (a frame the segment no
+  // longer holds is a miss, not an error) and compare the exact key.
+  Result<std::string> payload = index_.ReadFrame(loc);
+  Fingerprint got_fp;
+  EvalRecord rec;
+  if (!payload.ok() || !DecodeExperiencePayload(*payload, &got_fp, &rec) ||
+      !(got_fp == fp) || rec.scheme != scheme) {
+    return false;
   }
-
-  if (bucket_count_ == 0) return false;
-  const uint64_t hash = Fnv1a(key.data(), key.size());
-  const uint64_t mask = bucket_count_ - 1;
-  // Linear probe; stop at the first empty bucket (load factor <= 50%
-  // guarantees one exists) or after a full cycle on a pathological image.
-  for (uint64_t step = 0; step < bucket_count_; ++step) {
-    const unsigned char* slot =
-        buckets_ + ((hash + step) & mask) * kBucketBytes;
-    uint64_t slot_hash = 0, offset = 0;
-    uint32_t segment_id = 0;
-    std::memcpy(&slot_hash, slot, 8);
-    std::memcpy(&segment_id, slot + 8, 4);
-    std::memcpy(&offset, slot + 12, 8);
-    if (segment_id == kEmptySegment) return false;
-    if (slot_hash != hash) continue;
-    // Hash match is not identity: resolve the candidate and compare the
-    // exact key, continuing the probe past impostors.
-    Fingerprint got_fp;
-    EvalRecord rec;
-    if (!LoadRecord(segment_id, offset, &got_fp, &rec)) continue;
-    if (got_fp == fp && rec.scheme == scheme) {
-      *out = std::move(rec);
-      return true;
-    }
-  }
-  return false;
+  *out = std::move(rec);
+  return true;
 }
 
 Status PublishExperience(
@@ -383,112 +102,41 @@ Status PublishExperience(
   if (ec) {
     return Status::Internal("cannot create " + dir + ": " + ec.message());
   }
-  AUTOMC_ASSIGN_OR_RETURN(PublishLock lock, PublishLock::Acquire(dir));
-
-  // Carry over the published entries (and their covered offsets) from the
-  // current index when it is intact; otherwise rebuild from scratch.
-  IndexImage image;
-  std::vector<BuildEntry> entries;
-  std::set<uint64_t> seen;
-  std::vector<std::pair<std::string, uint64_t>> segments;  // name, covered
-  uint64_t generation = 0;
-  if (Result<std::string> data = ReadWholeFile(dir + "/" +
-                                               ExperienceIndex::kIndexFile);
-      data.ok() && ParseIndex(*data, &image)) {
-    generation = image.generation;
-    segments = image.segments;
-    const unsigned char* buckets =
-        reinterpret_cast<const unsigned char*>(data->data()) +
-        image.bucket_base;
-    for (uint32_t i = 0; i < image.bucket_count; ++i) {
-      BuildEntry e;
-      const unsigned char* slot = buckets + i * kBucketBytes;
-      std::memcpy(&e.key_hash, slot, 8);
-      std::memcpy(&e.segment_id, slot + 8, 4);
-      std::memcpy(&e.offset, slot + 12, 8);
-      if (e.segment_id == kEmptySegment) continue;
-      entries.push_back(e);
-      seen.insert(e.key_hash);
-    }
-  }
-
-  auto segment_id_of = [&](const std::string& name) -> uint32_t {
-    for (size_t i = 0; i < segments.size(); ++i) {
-      if (segments[i].first == name) return static_cast<uint32_t>(i);
-    }
-    segments.emplace_back(name, 0);
-    return static_cast<uint32_t>(segments.size() - 1);
-  };
+  durable::MmapHashIndex index(IndexSpec(dir));
+  AUTOMC_ASSIGN_OR_RETURN(durable::FileLock lock, index.LockPublish());
+  index.Load();
+  // The published entries plus every segment byte past its covered offset:
+  // other workers may have appended since the last publish, and a crashed
+  // publisher can leave appended-but-unindexed frames; this sweep is what
+  // makes the publish self-healing.
+  durable::MmapHashIndex::Draft draft = index.Collect();
 
   // Append the novel records to this publisher's own segment. One
-  // appender per segment file is the invariant that lets readers pread
-  // concurrently; the flock we hold also serializes same-segment writers.
+  // appender per segment file is the invariant that lets readers read it
+  // concurrently; the lock we hold also serializes same-segment writers.
   if (!records.empty()) {
-    const std::string seg_path = dir + "/" + segment_name;
-    const uint32_t seg_id = segment_id_of(segment_name);
-    bool fresh = !fs::exists(seg_path, ec);
-    std::FILE* f = std::fopen(seg_path.c_str(), "ab");
-    if (f == nullptr) {
-      return Status::Internal("cannot open segment " + seg_path + ": " +
-                              std::strerror(errno));
-    }
-    if (fresh) {
-      uint32_t version = kExperienceVersion;
-      std::fwrite(kExperienceMagic, 1, 4, f);
-      std::fwrite(&version, sizeof(version), 1, f);
-    }
-    long at = std::ftell(f);
+    uint32_t seg = 0;
+    AUTOMC_ASSIGN_OR_RETURN(durable::FramedLog log,
+                            index.OpenForAppend(&draft, segment_name, &seg));
+    uint64_t end = log.Size();
     for (const auto& [fp, rec] : records) {
-      const std::string key = ExperienceKeyBytes(fp, rec.scheme);
-      const uint64_t hash = Fnv1a(key.data(), key.size());
+      const std::string payload = EncodeExperiencePayload(fp, rec);
       // First writer wins; by the determinism contract a duplicate key
-      // carries the same value, so dropping it loses nothing. (A 64-bit
-      // hash collision also drops here — that costs one warm hit, never
-      // a wrong result, because Find compares exact keys.)
-      if (!seen.insert(hash).second) continue;
-      std::string payload = EncodeExperiencePayload(fp, rec);
-      ByteWriter frame;
-      frame.U32(static_cast<uint32_t>(payload.size()));
-      frame.U32(Crc32(payload));
-      frame.Raw(payload.data(), payload.size());
-      if (std::fwrite(frame.str().data(), 1, frame.str().size(), f) !=
-          frame.str().size()) {
-        std::fclose(f);
-        return Status::Internal("short append on " + seg_path);
+      // carries the same value, so dropping it loses nothing.
+      if (!draft.Add(HashKey(fp, rec.scheme),
+                     durable::FrameLoc{seg,
+                                       static_cast<uint32_t>(payload.size()),
+                                       end})) {
+        continue;
       }
-      entries.push_back(
-          BuildEntry{hash, seg_id, static_cast<uint64_t>(at)});
-      at += static_cast<long>(frame.str().size());
+      AUTOMC_RETURN_IF_ERROR(log.Append(payload));
+      end += 8 + payload.size();
     }
-    if (std::fflush(f) != 0) {
-      std::fclose(f);
-      return Status::Internal("flush failed on " + seg_path);
-    }
-    ::fsync(fileno(f));
-    std::fclose(f);
+    AUTOMC_RETURN_IF_ERROR(log.Sync());
+    draft.files[seg].covered = end;
   }
 
-  // Index segment bytes past each covered offset — other workers may have
-  // appended since the last publish (their flocked publishes updated the
-  // index, but a crashed publisher can leave appended-but-unindexed
-  // tails; this sweep is what makes the publish self-healing).
-  for (const std::string& name : ListSegments(dir)) {
-    segment_id_of(name);
-  }
-  for (size_t i = 0; i < segments.size(); ++i) {
-    auto& [name, covered] = segments[i];
-    covered = ReplaySegment(
-        dir + "/" + name, covered, [&](std::string key, uint64_t offset) {
-          const uint64_t hash = Fnv1a(key.data(), key.size());
-          if (!seen.insert(hash).second) return;
-          entries.push_back(
-              BuildEntry{hash, static_cast<uint32_t>(i), offset});
-        });
-  }
-
-  std::string bytes = BuildIndexBytes(generation + 1, segments, entries);
-  AUTOMC_RETURN_IF_ERROR(
-      WriteFileAtomic(dir + "/" + ExperienceIndex::kIndexFile, bytes));
+  AUTOMC_RETURN_IF_ERROR(index.Publish(draft));
   AUTOMC_METRIC_COUNT("store.index_publishes");
   return Status::OK();
 }

@@ -2,12 +2,12 @@
 #define AUTOMC_STORE_EXPERIENCE_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/durable.h"
 #include "common/result.h"
 #include "store/experience_store.h"
 
@@ -16,29 +16,22 @@ namespace store {
 
 // Shared read-mostly experience tier: a directory of append-only AMXP
 // segment files (one appender each, "seg-<worker>.bin") plus one
-// mmap-friendly hash index over all of them ("index.amxi"), so a fleet of
+// published hash index over all of them ("index.amxi"), so a fleet of
 // workers shares every tenant's strategy evaluations without replaying
 // each other's logs at open.
 //
-// Index file layout ("AMXI", v1, little-endian):
+// The index is a durable::MmapHashIndex (layout in common/durable.h) with
+// magic "AMXI" and 8-byte keys: the FNV-1a of a record's index key bytes.
+// Each bucket locates one record frame (segment, payload size, offset);
+// Find() reads that frame and compares the decoded fingerprint + scheme
+// exactly, so a record whose hash merely collides is never mis-served.
+// Publishers dedup by hash (first writer wins; a colliding record costs
+// one warm hit, never a wrong result).
 //
-//   u32 magic | u32 version | u64 generation | u64 record_count
-//   | u32 bucket_count (pow2) | u32 segment_count
-//   | per segment: u32 name_len | name | u64 covered_bytes
-//   | bucket_count * { u64 key_hash | u32 segment_id | u64 offset }
-//   | u32 crc32(everything above)
-//
-// Buckets are open-addressed with linear probing at <= 50% load; an empty
-// bucket has segment_id 0xFFFFFFFF. A bucket stores only the 64-bit FNV-1a
-// of the record's index key — Find() resolves candidates by pread()ing the
-// record frame at (segment_id, offset) and comparing the decoded
-// fingerprint + scheme exactly, so hash-equal non-matching candidates are
-// probed past, never mis-served.
-//
-// Concurrency contract: writers publish a whole new index file via
-// tmp + fsync + rename under an exclusive flock on "index.lock"; readers
-// mmap the published file and never take the lock, so readers never block
-// the appender (and vice versa). `covered_bytes` makes the next publish
+// Concurrency contract: writers publish under the index's FileLock
+// ("index.lock") and replace the whole index file atomically; readers map
+// the published file and never take the lock, so readers never block the
+// appender (and vice versa). `covered` offsets make the next publish
 // incremental: only segment bytes past the last indexed offset are
 // replayed.
 class ExperienceIndex {
@@ -54,59 +47,32 @@ class ExperienceIndex {
   // unusable.
   static Result<std::unique_ptr<ExperienceIndex>> OpenOrRebuild(
       const std::string& dir);
-  ~ExperienceIndex();
-
   ExperienceIndex(const ExperienceIndex&) = delete;
   ExperienceIndex& operator=(const ExperienceIndex&) = delete;
 
   // Exact lookup. Returns true and fills *out on a hit. Thread-safe: the
-  // mapping is immutable and candidate resolution uses pread(2).
+  // index is immutable once open and records are read with positional
+  // reads.
   Result<bool> Find(const Fingerprint& fp, const std::vector<int>& scheme,
                     EvalRecord* out) const;
 
-  uint64_t generation() const { return generation_; }
-  size_t size() const { return records_; }
+  uint64_t generation() const { return index_.generation(); }
+  size_t size() const { return index_.size(); }
   // True when the index file was unusable and lookups are served from the
   // in-memory replay of the segments.
   bool rebuilt() const { return rebuilt_; }
-  const std::string& dir() const { return dir_; }
 
  private:
-  struct Entry {
-    uint32_t segment_id = 0;
-    uint64_t offset = 0;
-  };
+  explicit ExperienceIndex(const std::string& dir);
 
-  ExperienceIndex() = default;
-
-  Status OpenSegments(const std::vector<std::string>& names);
-  // Reads + decodes the record frame at (segment_id, offset); verifies the
-  // frame CRC. Returns false on any mismatch (stale index vs truncated
-  // segment) without failing the lookup.
-  bool LoadRecord(uint32_t segment_id, uint64_t offset, Fingerprint* fp,
-                  EvalRecord* rec) const;
-
-  std::string dir_;
-  std::vector<std::string> segment_names_;
-  std::vector<int> segment_fds_;
-
-  // mmap'd index file (empty when rebuilt_).
-  void* map_ = nullptr;
-  size_t map_size_ = 0;
-  const unsigned char* buckets_ = nullptr;
-  uint32_t bucket_count_ = 0;
-
-  // Fallback: key bytes -> location, built by replaying the segments.
-  std::map<std::string, Entry, std::less<>> fallback_;
-
-  uint64_t generation_ = 0;
-  size_t records_ = 0;
+  durable::MmapHashIndex index_;
   bool rebuilt_ = false;
 };
 
 // Appends `records` to <dir>/<segment_name> (created with an AMXP header
 // on first use; one appender per segment file) and publishes a fresh
-// index over every "seg-*.bin" in `dir`, all under the exclusive flock.
+// index over every "seg-*.bin" in `dir`, all under the index lock. A torn
+// tail a crashed appender left on the segment is truncated first.
 // Records whose key already appears in the index are skipped — by the
 // determinism contract a duplicate key carries an identical value, so
 // first-writer-wins loses nothing. Pass an empty `records` (with any

@@ -1,12 +1,5 @@
 #include "store/experience_store.h"
 
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -59,103 +52,52 @@ uint64_t Fnv1a(const void* data, size_t n, uint64_t seed) {
   return h;
 }
 
-ExperienceStore::~ExperienceStore() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-std::string ExperienceStore::IndexKey(const Fingerprint& fp,
-                                      const std::vector<int>& scheme) {
-  return ExperienceKeyBytes(fp, scheme);
+std::string ExperienceFileHeader() {
+  ByteWriter w;
+  w.Raw(kExperienceMagic, 4);
+  w.U32(kExperienceVersion);
+  return w.Take();
 }
 
 Result<std::unique_ptr<ExperienceStore>> ExperienceStore::Open(
     const std::string& path) {
   auto store = std::unique_ptr<ExperienceStore>(new ExperienceStore());
   store->path_ = path;
-  AUTOMC_RETURN_IF_ERROR(store->ReplayLog());
-
-  store->file_ = std::fopen(path.c_str(), "ab");
-  if (store->file_ == nullptr) {
-    return Status::NotFound("cannot open store for append: " + path + ": " +
-                            std::strerror(errno));
+  ExperienceStore* st = store.get();
+  uint64_t dropped = 0;
+  // Replays every valid record; a torn tail (or a header torn at creation)
+  // is cut off so appends continue from the last valid record. A foreign
+  // or future-format file is refused rather than destroyed.
+  AUTOMC_ASSIGN_OR_RETURN(
+      store->log_,
+      durable::FramedLog::OpenForAppend(
+          path, ExperienceFileHeader(), 0, kExperienceMaxPayload,
+          [st](uint64_t, std::string_view payload) {
+            Fingerprint fp;
+            EvalRecord rec;
+            if (!DecodeExperiencePayload(payload, &fp, &rec)) return false;
+            auto [it, inserted] = st->index_.insert_or_assign(
+                ExperienceKeyBytes(fp, rec.scheme), std::move(rec));
+            if (inserted) st->order_.emplace_back(fp, &it->second);
+            ++st->recovered_;
+            return true;
+          },
+          &dropped));
+  store->truncated_bytes_ = static_cast<int64_t>(dropped);
+  if (dropped > 0) {
+    AUTOMC_LOG(Warning) << "experience store " << path << ": dropped "
+                        << dropped << " torn trailing bytes ("
+                        << store->recovered_ << " records recovered)";
   }
   AUTOMC_METRIC_COUNT("store.recovered", store->recovered_);
   AUTOMC_METRIC_COUNT("store.truncated_bytes", store->truncated_bytes_);
   return store;
 }
 
-Status ExperienceStore::ReplayLog() {
-  std::string data;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in.is_open()) {
-      data.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-      if (in.bad()) return Status::Internal("read failure on " + path_);
-    }
-  }
-
-  size_t valid_end = 0;
-  if (data.size() >= kExperienceHeaderSize) {
-    uint32_t version = 0;
-    std::memcpy(&version, data.data() + 4, sizeof(version));
-    if (std::memcmp(data.data(), kExperienceMagic, 4) != 0 || version != kExperienceVersion) {
-      // A foreign or future-format file: refuse rather than destroy it.
-      return Status::InvalidArgument(path_ + " is not a v1 experience store");
-    }
-    valid_end = kExperienceHeaderSize;
-
-    size_t pos = kExperienceHeaderSize;
-    while (pos + 8 <= data.size()) {
-      uint32_t len = 0, crc = 0;
-      std::memcpy(&len, data.data() + pos, sizeof(len));
-      std::memcpy(&crc, data.data() + pos + 4, sizeof(crc));
-      if (len > kExperienceMaxPayload || pos + 8 + len > data.size()) break;  // torn
-      std::string_view payload(data.data() + pos + 8, len);
-      if (Crc32(payload) != crc) break;  // torn or corrupted
-      Fingerprint fp;
-      EvalRecord rec;
-      if (!DecodeExperiencePayload(payload, &fp, &rec)) break;
-      auto [it, inserted] =
-          index_.insert_or_assign(IndexKey(fp, rec.scheme), std::move(rec));
-      if (inserted) order_.emplace_back(fp, &it->second);
-      ++recovered_;
-      pos += 8 + len;
-      valid_end = pos;
-    }
-    truncated_bytes_ = static_cast<int64_t>(data.size() - valid_end);
-  } else if (!data.empty()) {
-    // Torn header (crash during creation): nothing recoverable.
-    truncated_bytes_ = static_cast<int64_t>(data.size());
-  }
-
-  if (truncated_bytes_ > 0) {
-    AUTOMC_LOG(Warning) << "experience store " << path_ << ": dropping "
-                        << truncated_bytes_ << " torn trailing bytes ("
-                        << recovered_ << " records recovered)";
-  }
-
-  // Rewrite the header when the file is new/torn-at-birth, else chop the
-  // torn tail so the append handle continues from the last valid record.
-  std::error_code ec;
-  if (valid_end == 0) {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) return Status::NotFound("cannot create " + path_);
-    out.write(kExperienceMagic, 4);
-    uint32_t version = kExperienceVersion;
-    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    if (!out.good()) return Status::Internal("cannot write header: " + path_);
-  } else if (valid_end < data.size()) {
-    std::filesystem::resize_file(path_, valid_end, ec);
-    if (ec) return Status::Internal("cannot truncate " + path_);
-  }
-  return Status::OK();
-}
-
 const EvalRecord* ExperienceStore::SharedProbe(
     const std::vector<int>& scheme) const {
   if (shared_ == nullptr) return nullptr;
-  std::string key = IndexKey(bound_, scheme);
+  std::string key = ExperienceKeyBytes(bound_, scheme);
   std::unique_lock<std::mutex> lock(shared_mu_);
   if (auto it = shared_cache_.find(key); it != shared_cache_.end()) {
     return &it->second;
@@ -169,7 +111,7 @@ const EvalRecord* ExperienceStore::SharedProbe(
 }
 
 const EvalRecord* ExperienceStore::Lookup(const std::vector<int>& scheme) {
-  auto it = index_.find(IndexKey(bound_, scheme));
+  auto it = index_.find(ExperienceKeyBytes(bound_, scheme));
   if (it != index_.end()) {
     ++hits_;
     AUTOMC_METRIC_COUNT("store.hits");
@@ -186,46 +128,31 @@ const EvalRecord* ExperienceStore::Lookup(const std::vector<int>& scheme) {
 }
 
 const EvalRecord* ExperienceStore::Peek(const std::vector<int>& scheme) const {
-  auto it = index_.find(IndexKey(bound_, scheme));
+  auto it = index_.find(ExperienceKeyBytes(bound_, scheme));
   if (it != index_.end()) return &it->second;
   return SharedProbe(scheme);
 }
 
 bool ExperienceStore::Contains(const std::vector<int>& scheme) const {
-  if (index_.count(IndexKey(bound_, scheme)) > 0) return true;
+  if (index_.count(ExperienceKeyBytes(bound_, scheme)) > 0) return true;
   return SharedProbe(scheme) != nullptr;
 }
 
 Status ExperienceStore::Append(const EvalRecord& record) {
-  std::string key = IndexKey(bound_, record.scheme);
+  std::string key = ExperienceKeyBytes(bound_, record.scheme);
   if (index_.count(key) > 0) return Status::OK();  // determinism: no change
 
   EvalRecord stored = record;
   stored.task_features = task_features_;
-  AUTOMC_RETURN_IF_ERROR(WriteRecord(bound_, stored));
+  // One sync per append: appends are measured in strategy executions
+  // (seconds each), so full durability costs nothing by comparison.
+  AUTOMC_RETURN_IF_ERROR(log_.Append(EncodeExperiencePayload(bound_, stored)));
+  AUTOMC_RETURN_IF_ERROR(log_.Sync());
 
   auto [it, inserted] = index_.insert_or_assign(key, std::move(stored));
   if (inserted) order_.emplace_back(bound_, &it->second);
   ++appends_;
   AUTOMC_METRIC_COUNT("store.appends");
-  return Status::OK();
-}
-
-Status ExperienceStore::WriteRecord(const Fingerprint& fp,
-                                    const EvalRecord& record) {
-  std::string payload = EncodeExperiencePayload(fp, record);
-  ByteWriter frame;
-  frame.U32(static_cast<uint32_t>(payload.size()));
-  frame.U32(Crc32(payload));
-  frame.Raw(payload.data(), payload.size());
-  const std::string& bytes = frame.str();
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size() ||
-      std::fflush(file_) != 0) {
-    return Status::Internal("append failed on " + path_);
-  }
-  // One fsync per append: appends are measured in strategy executions
-  // (seconds each), so full durability costs nothing by comparison.
-  ::fsync(fileno(file_));
   return Status::OK();
 }
 
@@ -242,7 +169,7 @@ std::vector<ExperienceStep> ExperienceStore::ExportSteps(
     if (rec->task_features.empty()) continue;  // no task context recorded
     std::vector<int> parent_scheme(rec->scheme.begin(),
                                    rec->scheme.end() - 1);
-    auto pit = index_.find(IndexKey(fp, parent_scheme));
+    auto pit = index_.find(ExperienceKeyBytes(fp, parent_scheme));
     if (pit == index_.end()) continue;
     const EvalRecord& parent = pit->second;
     if (parent.acc <= 0.0 || parent.params <= 0) continue;

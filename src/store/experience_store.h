@@ -2,7 +2,6 @@
 #define AUTOMC_STORE_EXPERIENCE_STORE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/durable.h"
 #include "common/result.h"
 
 namespace automc {
@@ -62,15 +62,14 @@ struct ExperienceStep {
 // Crash-safe, append-only on-disk log of evaluation records with an
 // in-memory index for O(1) lookup.
 //
-// File layout: 8-byte header ("AMXP" magic + u32 version), then records of
-//   u32 payload_len | u32 crc32(payload) | payload
-// Appends are flushed and fsync'd record-at-a-time, so the only loss mode a
-// crash can produce is a torn *final* record. Open() detects that (short
-// read or CRC mismatch), truncates the file back to the last valid record,
-// and reports it via store.recovered / store.truncated_bytes.
+// File layout: 8-byte header ("AMXP" magic + u32 version), then a
+// durable::FramedLog of records (u32 payload_len | u32 crc32 | payload).
+// Appends are made durable record-at-a-time, so the only loss mode a crash
+// can produce is a torn *final* record. Open() detects that (short read,
+// CRC mismatch or undecodable payload), truncates the file back to the last
+// valid record, and reports it via store.recovered / store.truncated_bytes.
 class ExperienceStore {
  public:
-  ~ExperienceStore();
   ExperienceStore(const ExperienceStore&) = delete;
   ExperienceStore& operator=(const ExperienceStore&) = delete;
 
@@ -145,17 +144,12 @@ class ExperienceStore {
  private:
   ExperienceStore() = default;
 
-  static std::string IndexKey(const Fingerprint& fp,
-                              const std::vector<int>& scheme);
-  Status ReplayLog();
-  Status WriteRecord(const Fingerprint& fp, const EvalRecord& record);
-
   // Probes the shared tier on a local miss (nullptr when detached).
   // Returns the cache-resident record or nullptr.
   const EvalRecord* SharedProbe(const std::vector<int>& scheme) const;
 
   std::string path_;
-  std::FILE* file_ = nullptr;  // append handle, owned
+  durable::FramedLog log_;
   Fingerprint bound_;
   std::vector<float> task_features_;
 
@@ -186,8 +180,9 @@ uint64_t Fnv1a(const void* data, size_t n, uint64_t seed = 14695981039346656037u
 // store and the fleet's experience index (which reads raw segment files).
 inline constexpr char kExperienceMagic[4] = {'A', 'M', 'X', 'P'};
 inline constexpr uint32_t kExperienceVersion = 1;
-inline constexpr size_t kExperienceHeaderSize = 8;
 inline constexpr uint32_t kExperienceMaxPayload = 1u << 20;
+// The 8 header bytes every AMXP file starts with.
+std::string ExperienceFileHeader();
 
 std::string EncodeExperiencePayload(const Fingerprint& fp,
                                     const EvalRecord& rec);

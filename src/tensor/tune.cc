@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <shared_mutex>
 #include <string>
@@ -14,6 +12,7 @@
 
 #include "common/aligned.h"
 #include "common/bytes.h"
+#include "common/durable.h"
 #include "common/metrics.h"
 
 namespace automc {
@@ -87,10 +86,9 @@ std::string CachePath() {
 void LoadCacheFileLocked(TunerState& st) {
   std::string path = CachePath();
   if (path.empty()) return;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  Result<std::string> read = durable::ReadFile(path);
+  if (!read.ok()) return;
+  const std::string& blob = *read;
   if (blob.size() < sizeof(kMagic) + 3 * sizeof(uint32_t)) return;
   size_t payload = blob.size() - sizeof(uint32_t);
   ByteReader tail(std::string_view(blob).substr(payload));
@@ -137,14 +135,8 @@ void SaveCacheFileLocked(const TunerState& st) {
   }
   uint32_t crc = Crc32(w.str());
   w.U32(crc);
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out.write(w.str().data(), static_cast<std::streamsize>(w.str().size()));
-    if (!out) return;
-  }
-  std::rename(tmp.c_str(), path.c_str());
+  // Best effort: a failed save only costs the next process a re-probe.
+  (void)durable::AtomicWriteFile(path, w.str());
 }
 
 using ProbeBuffer = std::vector<float, AlignedAllocator<float, 64>>;

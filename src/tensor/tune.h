@@ -22,7 +22,7 @@ namespace simd {
 // contract (simd.h), so the tuner is free to pick differently run-to-run or
 // machine-to-machine and outputs stay bit-identical.
 //
-// On-disk format (little-endian, written atomically via temp + rename):
+// On-disk format (little-endian, replaced via durable::AtomicWriteFile):
 //   "AMTN" | u32 version | u32 count | count x (u32 key, i32 mr, i32 nv,
 //   i32 kc) | u32 crc32-of-preceding-bytes
 // Any mismatch — magic, version, truncation, CRC — makes the loader ignore

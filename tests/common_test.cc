@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstdint>
 
+#include "common/bytes.h"
 #include "common/matrix.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -248,6 +250,29 @@ TEST(SvdTest, TruncationMinimizesFrobeniusError) {
   ASSERT_EQ(svd.s.size(), 2u);
   EXPECT_NEAR(svd.s[0], 5.0, 1e-9);
   EXPECT_NEAR(svd.s[1], 3.0, 1e-9);
+}
+
+// --------------------------------------------------------------------------
+// ByteReader length checks
+
+// A float count of 2^62 makes a naive `count * sizeof(float)` wrap to 0, so
+// an 8-byte payload would pass the bounds check and the resize would throw.
+TEST(ByteReaderTest, HostileCountsFailCleanly) {
+  ByteWriter w;
+  w.U64(uint64_t{1} << 62);
+  ByteReader floats(w.str());
+  std::vector<float> v;
+  EXPECT_NO_THROW(EXPECT_FALSE(floats.Floats(&v)));
+  EXPECT_TRUE(v.empty());
+
+  ByteWriter ints_and_str;
+  ints_and_str.U32(0xFFFFFFFFu);
+  ByteReader ints(ints_and_str.str());
+  std::vector<int> iv;
+  EXPECT_FALSE(ints.Ints(&iv));
+  ByteReader str(ints_and_str.str());
+  std::string s;
+  EXPECT_FALSE(str.Str(&s));
 }
 
 }  // namespace

@@ -34,6 +34,11 @@ using testing::ScopedTempDir;
 
 const char* ServeBin() { return std::getenv("AUTOMC_SERVE_BIN"); }
 
+// The in-process coordinator may write to a worker a test just SIGKILLed.
+// Like automc_serve, this process ignores SIGPIPE so that write fails with
+// EPIPE and the coordinator retries, instead of the signal killing the test.
+const bool kSigpipeIgnored = ::signal(SIGPIPE, SIG_IGN) != SIG_ERR;
+
 core::RunSpec TinySpec(uint64_t seed, int budget) {
   core::RunSpec spec;
   spec.family = "vgg";

@@ -1,9 +1,10 @@
 // Kill-and-resume identity for every searcher: a run that crashes mid-search
-// (fault-injected checkpoint write) and is resumed from its checkpoint +
-// experience store must finish with a SearchOutcome byte-identical to an
-// uninterrupted run. Exercises Snapshot/Restore of all four searchers, the
-// evaluator's state snapshot, and store-served re-evaluation of the rounds
-// that fell between the last checkpoint and the crash.
+// (power cut while writing its second checkpoint) and is resumed from its
+// checkpoint + experience store must finish with a SearchOutcome
+// byte-identical to an uninterrupted run. Exercises Snapshot/Restore of all
+// four searchers, the evaluator's state snapshot, and store-served
+// re-evaluation of the rounds that fell between the last checkpoint and the
+// crash.
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -108,7 +109,7 @@ SearchConfig BaseConfig(const std::string& kind) {
   cfg.gamma = 0.3;
   cfg.seed = 11;
   // Small rounds keep the searchers checkpointing often enough that the
-  // abort_after_writes=1 fault below fires within the tiny budget.
+  // power cut in the second checkpoint fires within the tiny budget.
   cfg.eval_batch = 2;
   return cfg;
 }
@@ -130,16 +131,17 @@ void CheckKillResumeIdentity(const std::string& kind) {
   ScopedTempDir dir(kind);
   const std::string store_path = dir.File("store.bin");
 
-  // Victim: checkpoints every round; the fault injection kills the process
-  // at the second checkpoint write, leaving round 1's checkpoint and every
+  // Victim: checkpoints every round; the power fails in the middle of the
+  // second checkpoint write, leaving round 1's checkpoint and every
   // evaluation up to the crash durably on disk.
   {
     auto store = store::ExperienceStore::Open(store_path);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
+    automc::testing::PowerCutAfter cut(
+        "checkpoint.bin", automc::testing::kCutInSecondCheckpoint);
     store::SearchCheckpointer::Options copts;
     copts.dir = dir.path().string();
     copts.every_rounds = 1;
-    copts.abort_after_writes = 1;
     store::SearchCheckpointer ckpt(copts);
 
     SchemeEvaluator ev(&f.space, f.model.get(), f.ctx, {});
@@ -174,6 +176,9 @@ void CheckKillResumeIdentity(const std::string& kind) {
     auto out = searcher->Search(&ev, f.space, rcfg);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(OutcomeString(*out), reference) << kind;
+    // Round 2 was evaluated before the crash: the resume replays it from
+    // the store instead of executing it again.
+    EXPECT_GT(ev.store_hits(), 0) << kind;
   }
 }
 
@@ -201,10 +206,11 @@ TEST(ResumeTest, MismatchedConfigOrSearcherIsRejected) {
   ScopedTempDir dir("mismatch");
 
   {
+    automc::testing::PowerCutAfter cut(
+        "checkpoint.bin", automc::testing::kCutInSecondCheckpoint);
     store::SearchCheckpointer::Options copts;
     copts.dir = dir.path().string();
     copts.every_rounds = 1;
-    copts.abort_after_writes = 1;
     store::SearchCheckpointer ckpt(copts);
     SchemeEvaluator ev(&f.space, f.model.get(), f.ctx, {});
     SearchConfig vcfg = cfg;
@@ -245,10 +251,11 @@ TEST(ResumeTest, ForeignBasePointIsRejected) {
   ScopedTempDir dir("foreignbase");
 
   {
+    automc::testing::PowerCutAfter cut(
+        "checkpoint.bin", automc::testing::kCutInSecondCheckpoint);
     store::SearchCheckpointer::Options copts;
     copts.dir = dir.path().string();
     copts.every_rounds = 1;
-    copts.abort_after_writes = 1;
     store::SearchCheckpointer ckpt(copts);
     SchemeEvaluator ev(&f.space, f.model.get(), f.ctx, {});
     SearchConfig vcfg = cfg;

@@ -559,12 +559,13 @@ TEST(ServerTest, RunningJobResumesFromCheckpointAfterCrash) {
   const core::RunSpec spec = TinySpec(/*seed=*/41, /*budget=*/8);
   uint64_t id = 0;
   {
-    // Fault injection: the job's checkpointer dies after one successful
-    // write, leaving exactly what SIGKILL leaves — state RUNNING on disk
-    // with a valid mid-search checkpoint and store beside it.
+    // The power fails while the job writes its second checkpoint, leaving
+    // exactly what a crash leaves — state RUNNING on disk with a valid
+    // mid-search checkpoint and store beside it.
+    testing::PowerCutAfter cut("checkpoint.bin",
+                               testing::kCutInSecondCheckpoint);
     server::JobManager::Options jopts;
     jopts.workdir = dir.File("wd");
-    jopts.crash_after_checkpoints = 1;
     auto mgr = server::JobManager::Open(jopts);
     ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
     auto submitted = (*mgr)->Submit(spec);
@@ -575,7 +576,14 @@ TEST(ServerTest, RunningJobResumesFromCheckpointAfterCrash) {
     auto info = (*mgr)->Info(id);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info->state, JobState::kFailed);
+    auto on_disk = durable::ReadFile(dir.File("wd") + "/jobs/" +
+                                     std::to_string(id) + "/state");
+    ASSERT_TRUE(on_disk.ok());
+    EXPECT_EQ(*on_disk, "RUNNING\n");
   }
+  auto& store_hits =
+      metrics::MetricsRegistry::Global().GetCounter("store.hits");
+  const int64_t hits_before = store_hits.value();
   server::JobManager::Options jopts;
   jopts.workdir = dir.File("wd");
   auto mgr = server::JobManager::Open(jopts);
@@ -584,6 +592,9 @@ TEST(ServerTest, RunningJobResumesFromCheckpointAfterCrash) {
   auto info = (*mgr)->Info(id);
   ASSERT_TRUE(info.ok());
   ASSERT_EQ(info->state, JobState::kDone) << info->error;
+  // The round evaluated between the checkpoint and the crash is replayed
+  // from the job's store.
+  EXPECT_GT(store_hits.value(), hits_before);
   auto bytes = (*mgr)->OutcomeBytes(id);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, DirectOutcomeBytes(spec))

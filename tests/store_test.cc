@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/metrics.h"
 #include "gtest/gtest.h"
 #include "nn/trainer.h"
@@ -225,6 +226,43 @@ TEST(ExperienceStoreTest, CorruptedPayloadIsDropped) {
   EXPECT_GT((*reopened)->truncated_bytes(), 0);
 }
 
+// A CRC-valid record whose task-feature count claims 2^62 floats must be
+// treated like any undecodable tail: truncated, never thrown on.
+TEST(ExperienceStoreTest, HostileFloatCountIsTruncatedNotThrown) {
+  ScopedTempDir dir("hostile");
+  std::string path = dir.File("store.bin");
+  {
+    auto opened = ExperienceStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    (*opened)->Bind({1, 2});
+    ASSERT_TRUE((*opened)->Append(MakeRecord({5}, 0.7, 500)).ok());
+  }
+  const uintmax_t good_size = fs::file_size(path);
+  ByteWriter payload;
+  payload.U64(1);
+  payload.U64(2);
+  payload.Ints({6});
+  payload.F64(0.5);
+  payload.I64(100);
+  payload.I64(200);
+  payload.F64(0.0);
+  payload.F64(0.0);
+  payload.F64(0.0);
+  payload.U64(uint64_t{1} << 62);
+  ByteWriter frame;
+  frame.U32(static_cast<uint32_t>(payload.str().size()));
+  frame.U32(Crc32(payload.str()));
+  frame.Raw(payload.str().data(), payload.str().size());
+  WriteFileBytes(path, ReadFileBytes(path) + frame.str());
+
+  auto reopened = ExperienceStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->size(), 1u);
+  EXPECT_EQ((*reopened)->truncated_bytes(),
+            static_cast<int64_t>(frame.str().size()));
+  EXPECT_EQ(fs::file_size(path), good_size);
+}
+
 TEST(ExperienceStoreTest, ExportStepsDerivesTransitions) {
   ScopedTempDir dir("export");
   std::string path = dir.File("store.bin");
@@ -385,11 +423,16 @@ TEST(CheckpointTest, FaultInjectionLeavesValidCheckpoint) {
   ScopedTempDir dir("ckpt_fault");
   SearchCheckpointer::Options opts;
   opts.dir = dir.path().string();
-  opts.abort_after_writes = 1;
   SearchCheckpointer writer(opts);
-  ASSERT_TRUE(writer.Write({{"s", "survives"}}).ok());
-  Status st = writer.Write({{"s", "never lands"}});
-  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  {
+    // The power fails while the second checkpoint is being written.
+    automc::testing::PowerCutAfter cut(
+        "checkpoint.bin", automc::testing::kCutInSecondCheckpoint);
+    ASSERT_TRUE(writer.Write({{"s", "survives"}}).ok());
+    Status st = writer.Write({{"s", "never lands"}});
+    EXPECT_EQ(st.code(), StatusCode::kInternal);
+  }
+  EXPECT_EQ(writer.writes(), 1);
 
   SearchCheckpointer reader({dir.path().string()});
   ASSERT_TRUE(reader.LoadPending().ok());

@@ -7,6 +7,7 @@
 #include <functional>
 #include <string>
 
+#include "common/durable.h"
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "tensor/tensor.h"
@@ -51,6 +52,27 @@ class ScopedTempDir {
  private:
   std::filesystem::path path_;
 };
+
+// Arms the durable layer's fault seam for the guard's lifetime: after
+// `cut_after` durable operations on paths containing `match`, every later
+// durable operation in the process fails as if the power had been cut.
+// The destructor restores power.
+class PowerCutAfter {
+ public:
+  PowerCutAfter(std::string match, int cut_after) {
+    durable::fault::Arm(std::move(match), cut_after);
+  }
+  ~PowerCutAfter() { durable::fault::Disarm(); }
+  PowerCutAfter(const PowerCutAfter&) = delete;
+  PowerCutAfter& operator=(const PowerCutAfter&) = delete;
+};
+
+// With PowerCutAfter("checkpoint.bin", kCutInSecondCheckpoint) the first
+// checkpoint lands and the power fails in the middle of writing the second
+// one: every durable operation between the two (experience-store appends,
+// job state files) is on disk, as when a process dies mid-checkpoint.
+inline constexpr int kCutInSecondCheckpoint =
+    durable::fault::kAtomicWriteOps + 1;
 
 // Rebuilds the global thread pool for the guard's lifetime (and restores the
 // serial pool afterwards). Tests use it to compare results across thread
