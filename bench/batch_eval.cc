@@ -5,12 +5,12 @@
 // two into BENCH_eval.json.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "nn/trainer.h"
 #include "search/evaluator.h"
@@ -116,11 +116,9 @@ int Run() {
 
   const auto& subtrees =
       metrics::MetricsRegistry::Global().GetHistogram("eval.parallel_subtrees");
-  const char* threads_env = std::getenv("AUTOMC_THREADS");
-
   std::printf(
       "{\n"
-      "  \"threads\": %s,\n"
+      "  \"threads\": %d,\n"
       "  \"candidates\": %d,\n"
       "  \"strategies_in_space\": %d,\n"
       "  \"parallel_subtrees\": %.0f,\n"
@@ -129,7 +127,7 @@ int Run() {
       "  \"speedup\": %.3f,\n"
       "  \"identical\": %s\n"
       "}\n",
-      threads_env != nullptr ? threads_env : "1", kCandidates, strategies,
+      ThreadPool::Global().threads(), kCandidates, strategies,
       subtrees.max(), serial_ms, batch_ms, serial_ms / batch_ms,
       identical ? "true" : "false");
   return identical ? 0 : 1;

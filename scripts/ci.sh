@@ -272,9 +272,10 @@ echo "== COW sanitizer stage =="
 # registry (concurrent publishers fill packs under flock while lock-free
 # readers fetch through the mmap'd index), and the durable-file layer
 # (FileLock, same-path writers, the crash harness), then shake out
-# addressability bugs in the buffer-sharing paths and the durable-file
-# parsers with an ASan+UBSan pass. Both run at AUTOMC_THREADS=1 and 4 like
-# the main suite.
+# addressability bugs in the buffer-sharing paths, the folded conv blocks,
+# the raw-pointer TransR pair step and the durable-file parsers with an
+# ASan+UBSan pass. Both run at AUTOMC_THREADS=1 and 4 like the main
+# suite.
 cmake -B build-tsan -S . -DAUTOMC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j --target cow_tensor_test batch_eval_test \
@@ -289,11 +290,11 @@ done
 cmake -B build-asan -S . -DAUTOMC_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j --target tensor_test cow_tensor_test nn_model_test \
-  experience_index_test artifact_test durable_test
+  kg_test experience_index_test artifact_test durable_test
 for threads in 1 4; do
   echo "-- asan ctest, AUTOMC_THREADS=${threads} --"
   AUTOMC_THREADS="${threads}" ctest --test-dir build-asan \
-    -R 'tensor_test|cow_tensor_test|nn_model_test|experience_index_test|artifact_test|durable_test' \
+    -R 'tensor_test|cow_tensor_test|nn_model_test|kg_test|experience_index_test|artifact_test|durable_test' \
     --output-on-failure
 done
 

@@ -19,8 +19,8 @@ namespace automc {
 // ParallelFor splits [0, n) into chunks whose boundaries depend only on
 // (n, grain) — never on the thread count or on scheduling. Which thread
 // executes a chunk is nondeterministic, so callers must either
-//   * write to disjoint data per chunk (element-wise kernels, per-sample
-//     convolution, per-row GEMM), or
+//   * write to disjoint data per chunk (element-wise kernels, conv sample
+//     groups, per-row GEMM), or
 //   * reduce into per-chunk slots and combine them in ascending chunk
 //     order after the loop (gradient reductions).
 // Under that discipline results are bit-identical for any AUTOMC_THREADS

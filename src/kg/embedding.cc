@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "common/trace.h"
 #include "nn/optimizer.h"
 
 namespace automc {
@@ -48,10 +49,12 @@ Status StrategyEmbeddingLearner::Learn(
   for (int epoch = 0; epoch < config_.train_epochs; ++epoch) {
     // (Line 5) one TransR epoch over the knowledge graph.
     if (config_.use_kg) {
+      AUTOMC_SCOPED_TIMER("kg.transr_epoch_ms");
       transr_->TrainEpoch(graph_.triplets(), graph_.num_entities(), &rng);
     }
     // (Lines 6-9) refine strategy embeddings through NN_exp.
     if (config_.use_exp) {
+      AUTOMC_SCOPED_TIMER("kg.exp_epoch_ms");
       std::vector<size_t> order(experience.size());
       std::iota(order.begin(), order.end(), 0);
       rng.Shuffle(&order);

@@ -60,8 +60,10 @@ class TransR {
   const TransRConfig& config() const { return config_; }
 
  private:
-  // Applies one SGD step for a (positive, negative) pair.
-  void UpdatePair(const Triplet& pos, const Triplet& neg);
+  // Scores a (positive, negative) pair, whose negative replaces the head or
+  // the tail of the positive, and applies its SGD step when the hinge is
+  // active. Returns the pair's hinge loss.
+  double TrainPair(const Triplet& pos, const Triplet& neg);
   void RenormalizeEntity(int64_t id);
 
   TransRConfig config_;
@@ -70,6 +72,10 @@ class TransR {
   tensor::Tensor entities_;   // [E, d]
   tensor::Tensor relations_;  // [R, k]
   tensor::Tensor proj_;       // [R, k, d] flattened as [R, k*d]
+  // TrainPair's working set, sized once: 3 widened entity rows, and
+  // 3 projections + 2 residuals + 2 d-vectors.
+  std::vector<double> wide_;
+  std::vector<float> scratch_;
 };
 
 }  // namespace kg

@@ -28,6 +28,17 @@ int64_t ChannelGrain(int64_t channels, int64_t work_per_channel) {
   return per_chunk;
 }
 
+// Conv2d folds samples side by side into one [C*k*k, group*OH*OW] GEMM
+// operand until it is at least this many columns wide, so small late-stage
+// maps stop issuing GEMMs too narrow for the vector path.
+constexpr int64_t kFoldCols = 64;
+
+// Samples per folded conv GEMM: a pure function of the batch size and the
+// output-map size, never of the thread count.
+int64_t FoldGroup(int64_t batch, int64_t map_size) {
+  return std::clamp<int64_t>((kFoldCols + map_size - 1) / map_size, 1, batch);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -62,34 +73,51 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
 
   int64_t ckk = in_c_ * kernel_ * kernel_;
   int64_t p = oh * ow;
+  int64_t group = FoldGroup(n, p);
+  int64_t groups = (n + group - 1) / group;
   Tensor wmat = weight_.value.Reshaped({out_c_, ckk});
   Tensor y({n, out_c_, oh, ow});
 
+  // Backward re-unfolds the input for dW, so training keeps only an O(1)
+  // alias of x instead of column blocks k*k times its size.
   cached_ = training;
-  if (training) {
-    cols_.assign(static_cast<size_t>(n), Tensor());
-    x_shape_ = x.shape();
-  }
-  // Intra-batch data parallelism: one im2col + GEMM per sample, each
-  // writing a disjoint slice of y (and of the cols_ cache). With a single
-  // sample the loop collapses and the GEMM parallelizes internally instead.
+  if (training) x_cache_ = x;
+  // One im2col block + GEMM per group of samples, each group writing a
+  // disjoint slice of y. Every output element is the GEMM's ascending-k
+  // chain from its bias wherever its column sits, so folding changes no
+  // bit. A single group runs on the caller and its GEMM parallelizes
+  // internally instead.
   const float* xd = x.data();
   const float* wd = wmat.data();
   const float* bd = has_bias_ ? bias_.value.data() : nullptr;
   float* yd = y.MutableData();
   int64_t out_c = out_c_, in_c = in_c_;
-  automc::ParallelFor(n, 1, [&, xd, wd, bd, yd](int64_t s0, int64_t s1) {
-    Tensor cols({ckk, p});  // per-chunk scratch, reused across its samples
-    for (int64_t i = s0; i < s1; ++i) {
-      tensor::Im2Col(xd + i * in_c * h * w, g, &cols);
-      float* dst = yd + i * out_c * p;
-      if (bd != nullptr) {
-        for (int64_t f = 0; f < out_c; ++f) {
-          std::fill(dst + f * p, dst + (f + 1) * p, bd[f]);
+  automc::ParallelFor(groups, 1, [&, xd, wd, bd, yd](int64_t g0, int64_t g1) {
+    // Scratch for one full group, reused by the chunk's groups.
+    Tensor cols({ckk, group * p});
+    Tensor folded({group > 1 ? out_c * group * p : 0});
+    for (int64_t gi = g0; gi < g1; ++gi) {
+      int64_t s0 = gi * group, ns = std::min(group, n - s0), cw = ns * p;
+      float* cd = cols.MutableData();
+      for (int64_t s = 0; s < ns; ++s) {
+        tensor::Im2Col(xd + (s0 + s) * in_c * h * w, g, cd + s * p, cw);
+      }
+      // A lone sample's [out_c, p] result is its slice of y; a folded
+      // group's [out_c, ns*p] result is scattered per sample.
+      float* dst = ns == 1 ? yd + s0 * out_c * p : folded.MutableData();
+      for (int64_t f = 0; f < out_c; ++f) {
+        std::fill(dst + f * cw, dst + (f + 1) * cw,
+                  bd != nullptr ? bd[f] : 0.0f);
+      }
+      tensor::GemmAccumRaw(wd, cd, dst, out_c, ckk, cw);
+      if (ns > 1) {
+        for (int64_t s = 0; s < ns; ++s) {
+          for (int64_t f = 0; f < out_c; ++f) {
+            const float* src = dst + f * cw + s * p;
+            std::copy(src, src + p, yd + ((s0 + s) * out_c + f) * p);
+          }
         }
       }
-      tensor::GemmAccumRaw(wd, cols.data(), dst, out_c, ckk, p);
-      if (cached_) cols_[static_cast<size_t>(i)] = cols;
     }
   });
   flops_last_ = n * out_c_ * ckk * p;
@@ -98,7 +126,7 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {
   AUTOMC_CHECK(cached_) << "Conv2d::Backward without training Forward";
-  int64_t n = x_shape_[0], h = x_shape_[2], w = x_shape_[3];
+  int64_t n = x_cache_.size(0), h = x_cache_.size(2), w = x_cache_.size(3);
   ConvGeometry g{in_c_, h, w, kernel_, stride_, pad_};
   int64_t oh = g.OutH(), ow = g.OutW();
   AUTOMC_CHECK_EQ(grad_out.size(0), n);
@@ -106,48 +134,73 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
 
   int64_t ckk = in_c_ * kernel_ * kernel_;
   int64_t p = oh * ow;
+  int64_t group = FoldGroup(n, p);
+  int64_t groups = (n + group - 1) / group;
   Tensor wmat = weight_.value.Reshaped({out_c_, ckk});
-  Tensor dx(x_shape_);
+  Tensor dx(x_cache_.shape());
 
-  // Per-sample parallel backward. dx slices are disjoint; the shared dW and
-  // db gradients go through per-sample partials that are reduced in sample
-  // order below, so the reduction order is independent of the thread count.
-  int64_t chunks = automc::ThreadPool::NumChunks(n, 1);
-  std::vector<Tensor> dw_part(static_cast<size_t>(chunks));
-  std::vector<Tensor> db_part(static_cast<size_t>(chunks));
+  // dX folds like the forward pass: per group one GEMM dcols = W^T dY, each
+  // element a chain over the filters from zero, then one col2im per sample
+  // into its disjoint dx slice.
+  const float* xd = x_cache_.data();
   const float* gd = grad_out.data();
   const float* wd = wmat.data();
   float* dxd = dx.MutableData();
   int64_t out_c = out_c_, in_c = in_c_;
-  bool has_bias = has_bias_;
-  automc::ParallelFor(n, 1, [&, gd, wd, dxd](int64_t s0, int64_t s1,
-                                             int64_t chunk) {
-    Tensor dwp({out_c, ckk});
-    Tensor dbp({has_bias ? out_c : 0});
-    Tensor dcols({ckk, p});
-    for (int64_t i = s0; i < s1; ++i) {
-      const float* dyi = gd + i * out_c * p;  // [out_c, p] slice
-      const Tensor& cols = cols_[static_cast<size_t>(i)];
-      // dW += dY * cols^T
-      tensor::GemmTransposeBRaw(dyi, cols.data(), dwp.MutableData(), out_c,
-                                p, ckk);
-      // dcols = W^T * dY
-      dcols.Fill(0.0f);
-      tensor::GemmTransposeARaw(wd, dyi, dcols.MutableData(), ckk, out_c, p);
-      tensor::Col2Im(dcols, g, dxd + i * in_c * h * w);
-      if (has_bias) {
-        for (int64_t f = 0; f < out_c; ++f) {
-          double s = 0.0;
-          for (int64_t q = 0; q < p; ++q) s += dyi[f * p + q];
-          dbp[f] += static_cast<float>(s);
+  automc::ParallelFor(groups, 1, [&, gd, wd, dxd](int64_t g0, int64_t g1) {
+    Tensor folded({group > 1 ? out_c * group * p : 0});
+    Tensor dcols({ckk, group * p});
+    for (int64_t gi = g0; gi < g1; ++gi) {
+      int64_t s0 = gi * group, ns = std::min(group, n - s0), cw = ns * p;
+      // dY of the group in the folded [out_c, ns*p] layout.
+      const float* dyg = gd + s0 * out_c * p;
+      if (ns > 1) {
+        float* dst = folded.MutableData();
+        for (int64_t s = 0; s < ns; ++s) {
+          for (int64_t f = 0; f < out_c; ++f) {
+            const float* src = gd + ((s0 + s) * out_c + f) * p;
+            std::copy(src, src + p, dst + f * cw + s * p);
+          }
         }
+        dyg = dst;
+      }
+      float* dc = dcols.MutableData();
+      std::fill(dc, dc + ckk * cw, 0.0f);
+      tensor::GemmTransposeARaw(wd, dyg, dc, ckk, out_c, cw);
+      for (int64_t s = 0; s < ns; ++s) {
+        tensor::Col2Im(dc + s * p, cw, g, dxd + (s0 + s) * in_c * h * w);
       }
     }
-    dw_part[static_cast<size_t>(chunk)] = std::move(dwp);
-    db_part[static_cast<size_t>(chunk)] = std::move(dbp);
   });
-  // Ordered reduction (ascending sample index), bit-identical for any
-  // thread count.
+
+  // dW and db sum over a sample's positions; one GEMM over a folded group
+  // would merge those sums across samples. They stay per-sample partials,
+  // reduced in ascending sample order below, so neither the grouping nor
+  // the thread count changes their bits.
+  std::vector<Tensor> dw_part(static_cast<size_t>(n));
+  std::vector<Tensor> db_part(static_cast<size_t>(n));
+  bool has_bias = has_bias_;
+  automc::ParallelFor(n, 1, [&, xd, gd](int64_t i0, int64_t i1) {
+    Tensor cols({ckk, p});
+    for (int64_t i = i0; i < i1; ++i) {
+      tensor::Im2Col(xd + i * in_c * h * w, g, cols.MutableData(), p);
+      const float* dyi = gd + i * out_c * p;  // [out_c, p] slice
+      // dW_i = dY_i * cols_i^T
+      Tensor dwp({out_c, ckk});
+      tensor::GemmTransposeBRaw(dyi, cols.data(), dwp.MutableData(), out_c, p,
+                                ckk);
+      dw_part[static_cast<size_t>(i)] = std::move(dwp);
+      if (has_bias) {
+        Tensor dbp({out_c});
+        for (int64_t f = 0; f < out_c; ++f) {
+          double sum = 0.0;
+          for (int64_t q = 0; q < p; ++q) sum += dyi[f * p + q];
+          dbp[f] += static_cast<float>(sum);
+        }
+        db_part[static_cast<size_t>(i)] = std::move(dbp);
+      }
+    }
+  });
   Tensor dwmat({out_c_, ckk});
   for (const Tensor& part : dw_part) dwmat.AddInPlace(part);
   weight_.grad.AddInPlace(dwmat.Reshaped(weight_.value.shape()));
@@ -155,7 +208,7 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
     for (const Tensor& part : db_part) bias_.grad.AddInPlace(part);
   }
   cached_ = false;
-  cols_.clear();
+  x_cache_ = Tensor();
   return dx;
 }
 
@@ -198,7 +251,7 @@ void Conv2d::KeepOutputFilters(const std::vector<int64_t>& keep) {
   out_c_ = static_cast<int64_t>(keep.size());
   weight_ = Param(std::move(nw));
   cached_ = false;
-  cols_.clear();
+  x_cache_ = Tensor();
 }
 
 void Conv2d::KeepInputChannels(const std::vector<int64_t>& keep) {
@@ -219,7 +272,7 @@ void Conv2d::KeepInputChannels(const std::vector<int64_t>& keep) {
   in_c_ = static_cast<int64_t>(keep.size());
   weight_ = Param(std::move(nw));
   cached_ = false;
-  cols_.clear();
+  x_cache_ = Tensor();
 }
 
 // ---------------------------------------------------------------------------

@@ -53,8 +53,7 @@ class Conv2d : public Layer {
   Param bias_;
 
   // Forward caches.
-  std::vector<tensor::Tensor> cols_;  // per-sample im2col matrices
-  std::vector<int64_t> x_shape_;
+  tensor::Tensor x_cache_;  // input of the last training Forward
   int64_t flops_last_ = 0;
   bool cached_ = false;
 };

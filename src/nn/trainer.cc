@@ -72,7 +72,7 @@ Status Trainer::Fit(Model* model, const data::Dataset& train, LossFn loss_fn,
 
         model->ZeroGrad();
         // Intra-batch data parallelism lives inside the layer kernels
-        // (per-sample conv im2col+GEMM, per-channel batch norm, per-row
+        // (per-group conv im2col+GEMM, per-channel batch norm, per-row
         // GEMM), not here: splitting the batch across model replicas would
         // change batch-norm statistics and gradient reduction order. The
         // kernels chunk work independently of AUTOMC_THREADS and reduce

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -137,31 +138,87 @@ Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void Im2Col(const float* x, const ConvGeometry& g, Tensor* cols) {
+namespace {
+
+// For each kernel offset k, the output positions o in [0, out) whose input
+// index o * stride + k - pad falls inside [0, in) form one range
+// [r[2k], r[2k + 1]) (empty when equal). Im2Col/Col2Im compute these once
+// per call, so their rows carry no bounds test.
+std::vector<int64_t> ValidRanges(const ConvGeometry& g, int64_t in,
+                                 int64_t out) {
+  std::vector<int64_t> r(static_cast<size_t>(2 * g.kernel));
+  for (int64_t k = 0; k < g.kernel; ++k) {
+    int64_t off = k - g.pad;
+    int64_t first = off >= 0 ? 0 : (g.stride - 1 - off) / g.stride;
+    int64_t end = in - off <= 0 ? 0 : (in - 1 - off) / g.stride + 1;
+    int64_t lo = std::min(first, out);
+    r[static_cast<size_t>(2 * k)] = lo;
+    r[static_cast<size_t>(2 * k + 1)] = std::max(lo, std::min(end, out));
+  }
+  return r;
+}
+
+}  // namespace
+
+void Im2Col(const float* x, const ConvGeometry& g, float* cols, int64_t ld) {
   int64_t oh = g.OutH(), ow = g.OutW();
-  AUTOMC_CHECK_EQ(cols->dim(), 2);
-  AUTOMC_CHECK_EQ(cols->size(0), g.in_c * g.kernel * g.kernel);
-  AUTOMC_CHECK_EQ(cols->size(1), oh * ow);
-  // Every element (zero padding included) is written below, so a shared
-  // cols buffer is replaced, never copied.
-  float* out = cols->MutableDataDiscard();
-  int64_t col_w = oh * ow;
+  AUTOMC_CHECK_GE(ld, oh * ow);
+  const std::vector<int64_t> ri = ValidRanges(g, g.in_h, oh);
+  const std::vector<int64_t> rj = ValidRanges(g, g.in_w, ow);
   for (int64_t c = 0; c < g.in_c; ++c) {
     const float* xc = x + c * g.in_h * g.in_w;
     for (int64_t ki = 0; ki < g.kernel; ++ki) {
+      int64_t i0 = ri[static_cast<size_t>(2 * ki)];
+      int64_t i1 = ri[static_cast<size_t>(2 * ki + 1)];
       for (int64_t kj = 0; kj < g.kernel; ++kj) {
-        float* row =
-            out + ((c * g.kernel + ki) * g.kernel + kj) * col_w;
-        int64_t idx = 0;
-        for (int64_t i = 0; i < oh; ++i) {
-          int64_t src_i = i * g.stride + ki - g.pad;
-          bool row_ok = src_i >= 0 && src_i < g.in_h;
-          for (int64_t j = 0; j < ow; ++j, ++idx) {
-            int64_t src_j = j * g.stride + kj - g.pad;
-            row[idx] = (row_ok && src_j >= 0 && src_j < g.in_w)
-                           ? xc[src_i * g.in_w + src_j]
-                           : 0.0f;
-          }
+        int64_t j0 = rj[static_cast<size_t>(2 * kj)];
+        int64_t j1 = rj[static_cast<size_t>(2 * kj + 1)];
+        float* row = cols + ((c * g.kernel + ki) * g.kernel + kj) * ld;
+        // Positions outside the valid window read padding: zero the row
+        // once when there are any, then copy the window.
+        if (i0 > 0 || i1 < oh || j0 > 0 || j1 < ow) {
+          std::fill(row, row + oh * ow, 0.0f);
+        }
+        for (int64_t i = i0; i < i1; ++i) {
+          float* r = row + i * ow;
+          int64_t src = (i * g.stride + ki - g.pad) * g.in_w + kj - g.pad;
+          for (int64_t j = j0; j < j1; ++j) r[j] = xc[src + j * g.stride];
+        }
+      }
+    }
+  }
+}
+
+void Im2Col(const float* x, const ConvGeometry& g, Tensor* cols) {
+  AUTOMC_CHECK_EQ(cols->dim(), 2);
+  AUTOMC_CHECK_EQ(cols->size(0), g.in_c * g.kernel * g.kernel);
+  AUTOMC_CHECK_EQ(cols->size(1), g.OutH() * g.OutW());
+  // Every element (zero padding included) is written, so a shared cols
+  // buffer is replaced, never copied.
+  Im2Col(x, g, cols->MutableDataDiscard(), cols->size(1));
+}
+
+void Col2Im(const float* cols, int64_t ld, const ConvGeometry& g,
+            float* dx) {
+  int64_t oh = g.OutH(), ow = g.OutW();
+  AUTOMC_CHECK_GE(ld, oh * ow);
+  // Accumulates in (c, ki, kj, i, j) order; skipping the padding positions
+  // leaves the order of the sums that do land unchanged.
+  const std::vector<int64_t> ri = ValidRanges(g, g.in_h, oh);
+  const std::vector<int64_t> rj = ValidRanges(g, g.in_w, ow);
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    float* xc = dx + c * g.in_h * g.in_w;
+    for (int64_t ki = 0; ki < g.kernel; ++ki) {
+      int64_t i0 = ri[static_cast<size_t>(2 * ki)];
+      int64_t i1 = ri[static_cast<size_t>(2 * ki + 1)];
+      for (int64_t kj = 0; kj < g.kernel; ++kj) {
+        int64_t j0 = rj[static_cast<size_t>(2 * kj)];
+        int64_t j1 = rj[static_cast<size_t>(2 * kj + 1)];
+        const float* row = cols + ((c * g.kernel + ki) * g.kernel + kj) * ld;
+        for (int64_t i = i0; i < i1; ++i) {
+          const float* r = row + i * ow;
+          int64_t dst = (i * g.stride + ki - g.pad) * g.in_w + kj - g.pad;
+          for (int64_t j = j0; j < j1; ++j) xc[dst + j * g.stride] += r[j];
         }
       }
     }
@@ -169,32 +226,10 @@ void Im2Col(const float* x, const ConvGeometry& g, Tensor* cols) {
 }
 
 void Col2Im(const Tensor& cols, const ConvGeometry& g, float* dx) {
-  int64_t oh = g.OutH(), ow = g.OutW();
   AUTOMC_CHECK_EQ(cols.dim(), 2);
   AUTOMC_CHECK_EQ(cols.size(0), g.in_c * g.kernel * g.kernel);
-  AUTOMC_CHECK_EQ(cols.size(1), oh * ow);
-  const float* in = cols.data();
-  int64_t col_w = oh * ow;
-  for (int64_t c = 0; c < g.in_c; ++c) {
-    float* xc = dx + c * g.in_h * g.in_w;
-    for (int64_t ki = 0; ki < g.kernel; ++ki) {
-      for (int64_t kj = 0; kj < g.kernel; ++kj) {
-        const float* row =
-            in + ((c * g.kernel + ki) * g.kernel + kj) * col_w;
-        int64_t idx = 0;
-        for (int64_t i = 0; i < oh; ++i) {
-          int64_t src_i = i * g.stride + ki - g.pad;
-          bool row_ok = src_i >= 0 && src_i < g.in_h;
-          for (int64_t j = 0; j < ow; ++j, ++idx) {
-            int64_t src_j = j * g.stride + kj - g.pad;
-            if (row_ok && src_j >= 0 && src_j < g.in_w) {
-              xc[src_i * g.in_w + src_j] += row[idx];
-            }
-          }
-        }
-      }
-    }
-  }
+  AUTOMC_CHECK_EQ(cols.size(1), g.OutH() * g.OutW());
+  Col2Im(cols.data(), cols.size(1), g, dx);
 }
 
 Tensor LogSoftmax(const Tensor& logits) {

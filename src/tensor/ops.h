@@ -53,6 +53,11 @@ void Im2Col(const float* x, const ConvGeometry& g, Tensor* cols);
 // Adjoint of Im2Col: folds the column matrix back, accumulating into dx
 // (dx must be pre-zeroed by the caller for a pure adjoint).
 void Col2Im(const Tensor& cols, const ConvGeometry& g, float* dx);
+// Row-stride forms: the [C*k*k, OH*OW] block starts at `cols` and its rows
+// are `ld` >= OH*OW floats apart, so several samples can sit side by side
+// in one [C*k*k, group*OH*OW] matrix (Conv2d's folded GEMM operand).
+void Im2Col(const float* x, const ConvGeometry& g, float* cols, int64_t ld);
+void Col2Im(const float* cols, int64_t ld, const ConvGeometry& g, float* dx);
 
 // Row-wise log-softmax of a [n, c] tensor.
 Tensor LogSoftmax(const Tensor& logits);

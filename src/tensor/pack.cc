@@ -12,7 +12,7 @@ namespace {
 
 // Growable 64-byte-aligned per-thread pack scratch. One buffer per thread
 // suffices: a GEMM packs, then consumes the packed panels inside its own
-// ParallelFor before returning, and nested GEMMs (conv's per-sample calls
+// ParallelFor before returning, and nested GEMMs (conv's per-group calls
 // from inside a worker) run their loops inline, so a thread never packs
 // while an earlier pack on the same thread is still live.
 struct PackScratch {

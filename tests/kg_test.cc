@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <set>
 
 #include "gtest/gtest.h"
@@ -133,6 +136,210 @@ TEST(TransRTest, PositivesScoreBelowCorruptions) {
     if (transr.Score(t) < transr.Score(corrupted)) ++wins;
   }
   EXPECT_GT(static_cast<double>(wins) / total, 0.75);
+}
+
+// The per-pair step TransR ran before TrainPair fused it: TrainEpoch scores
+// both triplets, then UpdatePair scores them again and re-projects each
+// triplet inside its own gradient step (12 projections per active pair).
+// Kept as the bitwise reference for the fused step.
+class ReferenceTransR {
+ public:
+  ReferenceTransR(int64_t num_entities, int64_t num_relations,
+                  TransRConfig config)
+      : config_(config) {
+    Rng rng(config.seed);
+    float escale = 1.0f / std::sqrt(static_cast<float>(config.entity_dim));
+    float rscale = 1.0f / std::sqrt(static_cast<float>(config.relation_dim));
+    entities_ =
+        tensor::Tensor::Randn({num_entities, config.entity_dim}, &rng, escale);
+    relations_ = tensor::Tensor::Randn({num_relations, config.relation_dim},
+                                       &rng, rscale);
+    proj_ = tensor::Tensor::Randn(
+        {num_relations, config.relation_dim * config.entity_dim}, &rng,
+        escale);
+    for (int64_t r = 0; r < num_relations; ++r) {
+      for (int64_t i = 0; i < std::min(config.relation_dim, config.entity_dim);
+           ++i) {
+        proj_[r * config.relation_dim * config.entity_dim +
+              i * config.entity_dim + i] += 1.0f;
+      }
+    }
+  }
+
+  double TrainEpoch(const std::vector<Triplet>& triplets,
+                    int64_t num_entities, Rng* rng) {
+    std::vector<size_t> order(triplets.size());
+    std::iota(order.begin(), order.end(), 0);
+    rng->Shuffle(&order);
+    double total = 0.0;
+    for (size_t idx : order) {
+      const Triplet& pos = triplets[idx];
+      Triplet neg = pos;
+      if (rng->Bernoulli(0.5)) {
+        neg.head = rng->UniformInt(num_entities);
+      } else {
+        neg.tail = rng->UniformInt(num_entities);
+      }
+      double loss = std::max(0.0, config_.margin + Score(pos) - Score(neg));
+      total += loss;
+      UpdatePair(pos, neg);
+    }
+    return total / static_cast<double>(triplets.size());
+  }
+
+  double Score(const Triplet& t) const {
+    int64_t d = config_.entity_dim, k = config_.relation_dim;
+    const float* w = proj_.data() + t.relation * k * d;
+    const float* er = relations_.data() + t.relation * k;
+    std::vector<float> ph(static_cast<size_t>(k)), pt(static_cast<size_t>(k));
+    Project(w, entities_.data() + t.head * d, k, d, ph.data());
+    Project(w, entities_.data() + t.tail * d, k, d, pt.data());
+    double s = 0.0;
+    for (int64_t i = 0; i < k; ++i) {
+      double u = ph[static_cast<size_t>(i)] + er[i] - pt[static_cast<size_t>(i)];
+      s += u * u;
+    }
+    return s;
+  }
+
+  tensor::Tensor EntityEmbedding(int64_t id) const {
+    int64_t d = config_.entity_dim;
+    tensor::Tensor out({d});
+    std::copy(entities_.data() + id * d, entities_.data() + (id + 1) * d,
+              out.MutableData());
+    return out;
+  }
+
+ private:
+  static void Project(const float* w, const float* e, int64_t k, int64_t d,
+                      float* out) {
+    for (int64_t i = 0; i < k; ++i) {
+      double s = 0.0;
+      for (int64_t j = 0; j < d; ++j) {
+        s += static_cast<double>(w[i * d + j]) * e[j];
+      }
+      out[i] = static_cast<float>(s);
+    }
+  }
+
+  void RenormalizeEntity(int64_t id) {
+    int64_t d = config_.entity_dim;
+    float* e = entities_.MutableData() + id * d;
+    double n = 0.0;
+    for (int64_t i = 0; i < d; ++i) n += static_cast<double>(e[i]) * e[i];
+    n = std::sqrt(n);
+    if (n > 1.0) {
+      float inv = static_cast<float>(1.0 / n);
+      for (int64_t i = 0; i < d; ++i) e[i] *= inv;
+    }
+  }
+
+  void UpdatePair(const Triplet& pos, const Triplet& neg) {
+    double loss = config_.margin + Score(pos) - Score(neg);
+    if (loss <= 0.0) return;
+    int64_t d = config_.entity_dim, k = config_.relation_dim;
+    auto apply = [&](const Triplet& t, float sign) {
+      float* w = proj_.MutableData() + t.relation * k * d;
+      float* eh = entities_.MutableData() + t.head * d;
+      float* et = entities_.MutableData() + t.tail * d;
+      float* er = relations_.MutableData() + t.relation * k;
+      std::vector<float> ph(static_cast<size_t>(k)), pt(static_cast<size_t>(k));
+      std::vector<float> u(static_cast<size_t>(k));
+      Project(w, eh, k, d, ph.data());
+      Project(w, et, k, d, pt.data());
+      for (size_t i = 0; i < u.size(); ++i) u[i] = ph[i] + er[i] - pt[i];
+      std::vector<float> wtu(static_cast<size_t>(d), 0.0f);
+      for (int64_t i = 0; i < k; ++i) {
+        for (int64_t j = 0; j < d; ++j) {
+          wtu[static_cast<size_t>(j)] += w[i * d + j] * u[static_cast<size_t>(i)];
+        }
+      }
+      float step = 2.0f * config_.lr * sign;
+      for (int64_t j = 0; j < d; ++j) {
+        float diff = eh[j] - et[j];
+        eh[j] -= step * wtu[static_cast<size_t>(j)];
+        et[j] += step * wtu[static_cast<size_t>(j)];
+        for (int64_t i = 0; i < k; ++i) {
+          w[i * d + j] -= step * u[static_cast<size_t>(i)] * diff;
+        }
+      }
+      for (int64_t i = 0; i < k; ++i) er[i] -= step * u[static_cast<size_t>(i)];
+    };
+    apply(pos, +1.0f);
+    apply(neg, -1.0f);
+    RenormalizeEntity(pos.head);
+    RenormalizeEntity(pos.tail);
+    RenormalizeEntity(neg.head);
+    RenormalizeEntity(neg.tail);
+  }
+
+  TransRConfig config_;
+  tensor::Tensor entities_, relations_, proj_;
+};
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Trains TransR and the reference side by side from the same seeds and
+// requires every epoch loss, entity embedding and triplet score to match
+// bit for bit.
+void ExpectMatchesReference(const std::vector<Triplet>& triplets,
+                            int64_t num_entities, TransRConfig cfg,
+                            int epochs) {
+  TransR fused(num_entities, kNumRelations, cfg);
+  ReferenceTransR ref(num_entities, kNumRelations, cfg);
+  Rng rng_fused(cfg.seed + 1), rng_ref(cfg.seed + 1);
+  for (int e = 0; e < epochs; ++e) {
+    double got = fused.TrainEpoch(triplets, num_entities, &rng_fused);
+    double want = ref.TrainEpoch(triplets, num_entities, &rng_ref);
+    ASSERT_EQ(Bits(got), Bits(want)) << "epoch " << e << " loss " << got
+                                     << " vs reference " << want;
+  }
+  for (int64_t id = 0; id < num_entities; ++id) {
+    tensor::Tensor got = fused.EntityEmbedding(id);
+    tensor::Tensor want = ref.EntityEmbedding(id);
+    for (int64_t i = 0; i < got.numel(); ++i) {
+      ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "entity " << id << "[" << i
+                                             << "]";
+    }
+  }
+  for (size_t i = 0; i < triplets.size(); ++i) {
+    ASSERT_EQ(Bits(fused.Score(triplets[i])), Bits(ref.Score(triplets[i])))
+        << "triplet " << i;
+  }
+}
+
+TEST(TransRTest, FusedPairStepMatchesReferenceOnFullGraph) {
+  KnowledgeGraph g =
+      KnowledgeGraph::Build(search::SearchSpace::FullTable1().strategies());
+  ExpectMatchesReference(g.triplets(), g.num_entities(), TransRConfig{}, 8);
+}
+
+// Six entities, so one corruption in six lands on the positive itself and
+// one in six makes head == tail (the negative's two rows alias); the
+// self-loop positive aliases them on the positive step too. k = 5 and d = 7
+// leave an odd projection row and a non-square W_r.
+TEST(TransRTest, FusedPairStepMatchesReferenceWhenEntitiesCoincide) {
+  std::vector<Triplet> triplets = {
+      {0, kStrategyMethod, 1}, {1, kStrategySetting, 2}, {2, kMethodHp, 3},
+      {3, kMethodTechnique, 4}, {4, kHpSetting, 5},     {5, kStrategyMethod, 0},
+      {2, kMethodHp, 2},        {0, kHpSetting, 4}};
+  TransRConfig cfg;
+  cfg.entity_dim = 7;
+  cfg.relation_dim = 5;
+  cfg.margin = 2.0f;
+  cfg.lr = 0.05f;
+  cfg.seed = 5;
+  ExpectMatchesReference(triplets, 6, cfg, 50);
 }
 
 TEST(TransRTest, EmbeddingRoundTrip) {

@@ -1,3 +1,4 @@
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -9,6 +10,8 @@
 #include "nn/serialize.h"
 #include "nn/trainer.h"
 #include "nn/visit.h"
+#include "tensor/ops.h"
+#include "test_util.h"
 
 namespace automc {
 namespace nn {
@@ -376,6 +379,161 @@ TEST(TrainerTest, BnGammaL1ShrinksGammas) {
 
   EXPECT_LT(sum_gammas(sparse->get()), sum_gammas(plain->get()));
 }
+
+// --------------------------------------------------------------------------
+// Conv2d: folded groups against the per-sample algorithm they replaced
+
+struct ConvResult {
+  Tensor y, dx, dw, db;
+};
+
+// Im2Col and Col2Im as they were before their rows went branch-free: a
+// bounds test per element.
+void ReferenceIm2Col(const float* x, const tensor::ConvGeometry& g,
+                     float* cols) {
+  int64_t oh = g.OutH(), ow = g.OutW(), idx = 0;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    for (int64_t ki = 0; ki < g.kernel; ++ki) {
+      for (int64_t kj = 0; kj < g.kernel; ++kj) {
+        for (int64_t i = 0; i < oh; ++i) {
+          int64_t si = i * g.stride + ki - g.pad;
+          for (int64_t j = 0; j < ow; ++j, ++idx) {
+            int64_t sj = j * g.stride + kj - g.pad;
+            bool in = si >= 0 && si < g.in_h && sj >= 0 && sj < g.in_w;
+            cols[idx] = in ? x[(c * g.in_h + si) * g.in_w + sj] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void ReferenceCol2Im(const float* cols, const tensor::ConvGeometry& g,
+                     float* dx) {
+  int64_t oh = g.OutH(), ow = g.OutW(), idx = 0;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    for (int64_t ki = 0; ki < g.kernel; ++ki) {
+      for (int64_t kj = 0; kj < g.kernel; ++kj) {
+        for (int64_t i = 0; i < oh; ++i) {
+          int64_t si = i * g.stride + ki - g.pad;
+          for (int64_t j = 0; j < ow; ++j, ++idx) {
+            int64_t sj = j * g.stride + kj - g.pad;
+            if (si >= 0 && si < g.in_h && sj >= 0 && sj < g.in_w) {
+              dx[(c * g.in_h + si) * g.in_w + sj] += cols[idx];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The per-sample Conv2d: forward, one im2col + GEMM per sample; backward,
+// per sample a dW partial GEMM, a dcols GEMM and a col2im, with the dW and
+// db partials summed in ascending sample order.
+ConvResult ReferenceConv(const Conv2d& conv, const Tensor& x,
+                         const Tensor& dy) {
+  int64_t n = x.size(0), in_c = conv.in_channels(), h = x.size(2),
+          w = x.size(3);
+  int64_t out_c = conv.out_channels(), kernel = conv.kernel();
+  tensor::ConvGeometry g{in_c, h, w, kernel, conv.stride(), conv.pad()};
+  int64_t p = g.OutH() * g.OutW(), ckk = in_c * kernel * kernel;
+  Tensor wmat = conv.weight().value.Reshaped({out_c, ckk});
+  ConvResult r;
+  r.y = Tensor({n, out_c, g.OutH(), g.OutW()});
+  r.dx = Tensor(x.shape());
+  r.dw = Tensor::Zeros(conv.weight().value.shape());
+  r.db = Tensor::Zeros({conv.has_bias() ? out_c : 0});
+  Tensor dwmat({out_c, ckk});
+  for (int64_t i = 0; i < n; ++i) {
+    Tensor cols({ckk, p});
+    ReferenceIm2Col(x.data() + i * in_c * h * w, g, cols.MutableData());
+    float* yi = r.y.MutableData() + i * out_c * p;
+    if (conv.has_bias()) {
+      for (int64_t f = 0; f < out_c; ++f) {
+        std::fill(yi + f * p, yi + (f + 1) * p, conv.bias().value[f]);
+      }
+    }
+    tensor::GemmAccumRaw(wmat.data(), cols.data(), yi, out_c, ckk, p);
+
+    const float* dyi = dy.data() + i * out_c * p;
+    Tensor dwp({out_c, ckk});
+    tensor::GemmTransposeBRaw(dyi, cols.data(), dwp.MutableData(), out_c, p,
+                              ckk);
+    dwmat.AddInPlace(dwp);
+    Tensor dcols({ckk, p});
+    tensor::GemmTransposeARaw(wmat.data(), dyi, dcols.MutableData(), ckk,
+                              out_c, p);
+    ReferenceCol2Im(dcols.data(), g, r.dx.MutableData() + i * in_c * h * w);
+    if (conv.has_bias()) {
+      Tensor dbp({out_c});
+      for (int64_t f = 0; f < out_c; ++f) {
+        double s = 0.0;
+        for (int64_t q = 0; q < p; ++q) s += dyi[f * p + q];
+        dbp[f] += static_cast<float>(s);
+      }
+      r.db.AddInPlace(dbp);
+    }
+  }
+  r.dw.AddInPlace(dwmat.Reshaped(r.dw.shape()));
+  return r;
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    uint32_t a, b;
+    float fa = got[i], fb = want[i];
+    std::memcpy(&a, &fa, sizeof a);
+    std::memcpy(&b, &fb, sizeof b);
+    ASSERT_EQ(a, b) << what << "[" << i << "]: " << fa << " vs " << fb;
+  }
+}
+
+class ConvFoldingTest : public ::testing::TestWithParam<int> {};
+
+// Folding samples into one GEMM must change no bit of y, dX, dW or db, for
+// batches that fill a group exactly, leave a partial last group, or hold a
+// single sample, and for output maps from 8x8 down to 1x1.
+TEST_P(ConvFoldingTest, MatchesPerSampleConvBitwise) {
+  automc::testing::PoolGuard pool(GetParam());
+  Rng rng(31);
+  int cases = 0;
+  for (int64_t kernel : {1, 3}) {
+    for (int64_t stride : {1, 2}) {
+      for (int64_t pad : {0, 1}) {
+        for (int64_t size : {8, 4, 2, 1}) {
+          tensor::ConvGeometry g{1, size, size, kernel, stride, pad};
+          if (g.OutH() <= 0) continue;
+          for (int64_t batch : {1, 3, 32, 33}) {
+            for (bool bias : {false, true}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "kernel " << kernel << " stride " << stride
+                           << " pad " << pad << " size " << size << " batch "
+                           << batch << " bias " << bias);
+              Conv2d conv(3, 6, kernel, stride, pad, bias, &rng);
+              if (bias) conv.bias().value = Tensor::Randn({6}, &rng);
+              Tensor x = Tensor::Randn({batch, 3, size, size}, &rng);
+              Tensor dy =
+                  Tensor::Randn({batch, 6, g.OutH(), g.OutW()}, &rng);
+              ConvResult want = ReferenceConv(conv, x, dy);
+              Tensor y = conv.Forward(x, true);
+              Tensor dx = conv.Backward(dy);
+              ExpectSameBits(y, want.y, "y");
+              ExpectSameBits(dx, want.dx, "dx");
+              ExpectSameBits(conv.weight().grad, want.dw, "dW");
+              if (bias) ExpectSameBits(conv.bias().grad, want.db, "db");
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 232);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ConvFoldingTest, ::testing::Values(1, 4));
 
 // --------------------------------------------------------------------------
 // Data module
