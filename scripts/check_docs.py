@@ -10,6 +10,10 @@
    docs/configuration.md — the authoritative knob table — so a new env
    variable cannot ship undocumented. (Macro identifiers and header-guard
    tokens are not quoted strings and are therefore out of scope.)
+3. Metric coverage: every name passed to AUTOMC_METRIC_COUNT/GAUGE/OBSERVE
+   or AUTOMC_SCOPED_TIMER in src/ must appear in backticks in
+   docs/observability.md. The macros accept string literals only, so the
+   scan sees every recorded name.
 
 Exits non-zero with one line per violation.
 """
@@ -23,6 +27,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 QUOTED_KNOB_RE = re.compile(r'"(AUTOMC_[A-Z][A-Z0-9_]*)"')
+METRIC_SITE_RE = re.compile(
+    r'AUTOMC_(?:METRIC_(?:COUNT|GAUGE|OBSERVE)|SCOPED_TIMER)\(\s*"([^"]+)"')
 SKIP_DIRS = {".git", "build", "build-san", "third_party", ".claude"}
 
 
@@ -108,14 +114,37 @@ def check_knobs():
     return errors
 
 
+def check_metrics():
+    doc = os.path.join(REPO, "docs", "observability.md")
+    if not os.path.exists(doc):
+        return ["docs/observability.md is missing"]
+    with open(doc, encoding="utf-8") as f:
+        documented = set(re.findall(r"`([^`]+)`", f.read()))
+
+    errors = []
+    for root, dirs, files in os.walk(os.path.join(REPO, "src")):
+        for name in files:
+            if not name.endswith((".cc", ".h")):
+                continue
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as f:
+                recorded = set(METRIC_SITE_RE.findall(f.read()))
+            for metric in sorted(recorded - documented):
+                errors.append(
+                    f"{os.path.relpath(path, REPO)}: metric {metric} not in "
+                    "docs/observability.md")
+    return errors
+
+
 def main():
-    errors = check_links() + check_knobs()
+    errors = check_links() + check_knobs() + check_metrics()
     for e in errors:
         print(f"doc-check: {e}", file=sys.stderr)
     if errors:
         print(f"doc-check: {len(errors)} problem(s)", file=sys.stderr)
         return 1
-    print("doc-check: all markdown links and AUTOMC_* knobs check out")
+    print("doc-check: all markdown links, AUTOMC_* knobs and metric names "
+          "check out")
     return 0
 
 

@@ -40,6 +40,17 @@ python3 scripts/check_docs.py
 echo "== tier-1: release build + tests =="
 run_suite build
 
+echo "== compile-out build =="
+# -DAUTOMC_DISABLE_METRICS=ON compiles every AUTOMC_METRIC_* and
+# AUTOMC_SCOPED_TIMER site out. Build every target to prove the macros still
+# compile there, never evaluate their arguments and leave no variable unused
+# (a value computed only to be recorded). No tests run: nine test binaries
+# assert counter values that this build removes.
+cmake -B build-nometrics -S . -DAUTOMC_DISABLE_METRICS=ON \
+  -DCMAKE_CXX_FLAGS="-Werror=unused-variable -Werror=unused-but-set-variable" \
+  >/dev/null
+cmake --build build-nometrics -j
+
 echo "== crash-resume smoke =="
 # Kill a checkpointing search with SIGKILL mid-run, resume it, and require
 # the final SearchOutcome to be byte-identical to an uninterrupted reference
@@ -271,30 +282,33 @@ echo "== COW sanitizer stage =="
 # (readers mmap while a publisher appends + renames), and the artifact
 # registry (concurrent publishers fill packs under flock while lock-free
 # readers fetch through the mmap'd index), and the durable-file layer
-# (FileLock, same-path writers, the crash harness), then shake out
-# addressability bugs in the buffer-sharing paths, the folded conv blocks,
-# the raw-pointer TransR pair step and the durable-file parsers with an
-# ASan+UBSan pass. Both run at AUTOMC_THREADS=1 and 4 like the main
-# suite.
+# (FileLock, same-path writers, the crash harness), and the metrics
+# registry (pool threads record through macro sites while Reset() zeroes),
+# then shake out addressability bugs in the buffer-sharing paths, the
+# folded conv blocks, the raw-pointer TransR pair step, the metric
+# references kept across Reset(), the model decoder and the durable-file
+# parsers with an ASan+UBSan pass. Both run at AUTOMC_THREADS=1 and 4 like
+# the main suite.
 cmake -B build-tsan -S . -DAUTOMC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j --target cow_tensor_test batch_eval_test \
-  experience_index_test artifact_test durable_test
+  experience_index_test artifact_test durable_test metrics_test
 for threads in 1 4; do
   echo "-- tsan ctest, AUTOMC_THREADS=${threads} --"
   AUTOMC_THREADS="${threads}" ctest --test-dir build-tsan \
-    -R 'cow_tensor_test|batch_eval_test|experience_index_test|artifact_test|durable_test' \
+    -R 'cow_tensor_test|batch_eval_test|experience_index_test|artifact_test|durable_test|metrics_test' \
     --output-on-failure
 done
 
 cmake -B build-asan -S . -DAUTOMC_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j --target tensor_test cow_tensor_test nn_model_test \
-  kg_test experience_index_test artifact_test durable_test
+  kg_test experience_index_test artifact_test durable_test metrics_test \
+  serialize_test
 for threads in 1 4; do
   echo "-- asan ctest, AUTOMC_THREADS=${threads} --"
   AUTOMC_THREADS="${threads}" ctest --test-dir build-asan \
-    -R 'tensor_test|cow_tensor_test|nn_model_test|kg_test|experience_index_test|artifact_test|durable_test' \
+    -R 'tensor_test|cow_tensor_test|nn_model_test|kg_test|experience_index_test|artifact_test|durable_test|metrics_test|serialize_test' \
     --output-on-failure
 done
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "common/logging.h"
@@ -50,15 +51,15 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+// 12 significant digits, the same bytes an ostream at precision 12 prints,
+// without building a stream per number: an export prints thousands.
 std::string JsonDouble(double v) {
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  std::string s = os.str();
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
   // JSON has no inf/nan literals; clamp to null-safe sentinels.
-  if (s.find("inf") != std::string::npos) return v > 0 ? "1e308" : "-1e308";
-  if (s.find("nan") != std::string::npos) return "0";
-  return s;
+  if (std::strstr(buf, "inf") != nullptr) return v > 0 ? "1e308" : "-1e308";
+  if (std::strstr(buf, "nan") != nullptr) return "0";
+  return buf;
 }
 
 }  // namespace
@@ -173,24 +174,18 @@ MetricsRegistry& MetricsRegistry::Global() {
 
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  return counters_[name];
 }
 
 Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return gauges_[name];
 }
 
 Histogram& MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
-  return *slot;
+  return histograms_.try_emplace(name, std::move(bounds)).first->second;
 }
 
 std::string MetricsRegistry::ToJson() const {
@@ -200,26 +195,26 @@ std::string MetricsRegistry::ToJson() const {
   bool first = true;
   for (const auto& [name, c] : counters_) {
     os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-       << "\": " << c->value();
+       << "\": " << c.value();
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
     os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-       << "\": " << JsonDouble(g->value());
+       << "\": " << JsonDouble(g.value());
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
     os << (first ? "" : ",") << "\n    \"" << JsonEscape(name) << "\": {"
-       << "\"count\": " << h->count() << ", \"sum\": " << JsonDouble(h->sum())
-       << ", \"min\": " << JsonDouble(h->min())
-       << ", \"max\": " << JsonDouble(h->max())
-       << ", \"mean\": " << JsonDouble(h->mean()) << ", \"buckets\": [";
-    const std::vector<double>& bounds = h->bounds();
-    std::vector<int64_t> counts = h->bucket_counts();
+       << "\"count\": " << h.count() << ", \"sum\": " << JsonDouble(h.sum())
+       << ", \"min\": " << JsonDouble(h.min())
+       << ", \"max\": " << JsonDouble(h.max())
+       << ", \"mean\": " << JsonDouble(h.mean()) << ", \"buckets\": [";
+    const std::vector<double>& bounds = h.bounds();
+    std::vector<int64_t> counts = h.bucket_counts();
     for (size_t i = 0; i < counts.size(); ++i) {
       if (i) os << ", ";
       os << "{\"le\": "
@@ -256,28 +251,14 @@ bool MetricsRegistry::DumpIfConfigured() const {
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  generation_.fetch_add(1, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
-// Recording helpers
-
-void Count(const std::string& name, int64_t delta) {
-  if (!Enabled()) return;
-  MetricsRegistry::Global().GetCounter(name).Add(delta);
-}
-
-void SetGauge(const std::string& name, double value) {
-  if (!Enabled()) return;
-  MetricsRegistry::Global().GetGauge(name).Set(value);
-}
-
-void Observe(const std::string& name, double value) {
-  if (!Enabled()) return;
-  MetricsRegistry::Global().GetHistogram(name).Observe(value);
+  for (auto& [name, c] : counters_) c.value_.store(0);
+  for (auto& [name, g] : gauges_) g.value_.store(0.0);
+  for (auto& [name, h] : histograms_) {
+    std::lock_guard<std::mutex> hist_lock(h.mu_);
+    std::fill(h.counts_.begin(), h.counts_.end(), 0);
+    h.count_ = 0;
+    h.sum_ = h.min_ = h.max_ = 0.0;
+  }
 }
 
 }  // namespace metrics

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -20,11 +19,17 @@ namespace metrics {
 // Naming convention: "<subsystem>.<noun>" for counters and gauges,
 // "<subsystem>.<noun>_ms" for wall-time histograms (milliseconds).
 //
+// Recording contract: code records through the AUTOMC_METRIC_* macros below
+// and AUTOMC_SCOPED_TIMER (trace.h), whose names must be string literals.
+// Each call site looks its metric up once and keeps the reference, which
+// stays valid for the life of the process: Reset() zeroes metrics in place
+// and never frees one. While metrics are off the macros create nothing.
+//
 // Two disable levels:
 //   * runtime  — SetEnabled(false) or AUTOMC_METRICS=0 in the environment;
-//                recording helpers become cheap early-out no-ops.
-//   * compile  — building with -DAUTOMC_DISABLE_METRICS turns the
-//                AUTOMC_METRIC_* macros (and scoped timers) into nothing.
+//                every macro site then costs one branch.
+//   * compile  — building with -DAUTOMC_DISABLE_METRICS compiles the macros
+//                out; their arguments are never evaluated.
 
 // Runtime kill switch. Initialized once from AUTOMC_METRICS ("0"/"false"
 // disable); defaults to enabled.
@@ -40,6 +45,7 @@ class Counter {
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
+  friend class MetricsRegistry;
   std::atomic<int64_t> value_{0};
 };
 
@@ -50,6 +56,7 @@ class Gauge {
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
+  friend class MetricsRegistry;
   std::atomic<double> value_{0.0};
 };
 
@@ -85,6 +92,7 @@ class Histogram {
   static std::vector<double> LatencyBounds();
 
  private:
+  friend class MetricsRegistry;
   mutable std::mutex mu_;
   std::vector<double> bounds_;
   std::vector<int64_t> counts_;
@@ -98,7 +106,8 @@ class MetricsRegistry {
  public:
   static MetricsRegistry& Global();
 
-  // Lookup-or-create by name. Returned references live until Reset().
+  // Lookup-or-create by name. Returned references stay valid for the life
+  // of the process.
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   // `bounds` is honoured only on first creation; empty means DefaultBounds().
@@ -116,47 +125,55 @@ class MetricsRegistry {
   // Returns true only if a file was actually written.
   bool DumpIfConfigured() const;
 
-  // Drops every registered metric (test isolation). Invalidates references
-  // previously returned by the getters.
+  // Zeroes every registered metric in place (test isolation). Names,
+  // histogram bounds and every reference handed out survive.
   void Reset();
-
-  // Incremented by every Reset(). Hot paths (tensor COW accounting) cache
-  // Counter pointers keyed by this value so they can skip the mutex-guarded
-  // name lookup per event yet never dereference a reset-invalidated pointer.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
 
  private:
   MetricsRegistry() = default;
 
-  std::atomic<uint64_t> generation_{0};
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  // Node-based maps: an entry never moves once created.
+  std::map<std::string, Counter> counters_;
+  std::map<std::string, Gauge> gauges_;
+  std::map<std::string, Histogram> histograms_;
 };
-
-// Recording helpers: early-out when runtime-disabled, so instrumented code
-// never pays more than one branch + an atomic load.
-void Count(const std::string& name, int64_t delta = 1);
-void SetGauge(const std::string& name, double value);
-void Observe(const std::string& name, double value);
 
 }  // namespace metrics
 }  // namespace automc
 
 #ifndef AUTOMC_DISABLE_METRICS
-#define AUTOMC_METRIC_COUNT(name, ...) \
-  ::automc::metrics::Count(name, ##__VA_ARGS__)
-#define AUTOMC_METRIC_GAUGE(name, value) \
-  ::automc::metrics::SetGauge(name, value)
-#define AUTOMC_METRIC_OBSERVE(name, value) \
-  ::automc::metrics::Observe(name, value)
+#define AUTOMC_METRICS_ON_ ::automc::metrics::Enabled()
 #else
-#define AUTOMC_METRIC_COUNT(name, ...) ((void)0)
-#define AUTOMC_METRIC_GAUGE(name, value) ((void)0)
-#define AUTOMC_METRIC_OBSERVE(name, value) ((void)0)
+#define AUTOMC_METRICS_ON_ false
 #endif
+
+// The registry metric named by the string literal `name` ("" name rejects
+// anything else), looked up once per call site; null while metrics are off,
+// so that nothing is created.
+#define AUTOMC_METRIC_SITE_(getter, name)                             \
+  (AUTOMC_METRICS_ON_                                                 \
+       ? [] {                                                         \
+           static auto& automc_metric =                               \
+               ::automc::metrics::MetricsRegistry::Global().getter(   \
+                   "" name);                                          \
+           return &automc_metric;                                     \
+         }()                                                          \
+       : nullptr)
+
+#define AUTOMC_METRIC_CALL_(getter, name, call)                       \
+  do {                                                                \
+    if (auto* automc_metric_ptr = AUTOMC_METRIC_SITE_(getter, name))  \
+      automc_metric_ptr->call;                                        \
+  } while (0)
+
+// AUTOMC_METRIC_COUNT(name) adds 1; AUTOMC_METRIC_COUNT(name, delta) adds
+// delta.
+#define AUTOMC_METRIC_COUNT(name, ...) \
+  AUTOMC_METRIC_CALL_(GetCounter, name, Add(__VA_ARGS__))
+#define AUTOMC_METRIC_GAUGE(name, value) \
+  AUTOMC_METRIC_CALL_(GetGauge, name, Set(value))
+#define AUTOMC_METRIC_OBSERVE(name, value) \
+  AUTOMC_METRIC_CALL_(GetHistogram, name, Observe(value))
 
 #endif  // AUTOMC_COMMON_METRICS_H_

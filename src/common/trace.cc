@@ -6,8 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/metrics.h"
-
 namespace automc {
 namespace trace {
 
@@ -99,26 +97,22 @@ std::string ToJson() {
   return os.str();
 }
 
-ScopedTimer::ScopedTimer(std::string name)
-    : name_(std::move(name)),
+ScopedTimer::ScopedTimer(const char* name, metrics::Histogram* histogram)
+    : histogram_(histogram),
       start_(std::chrono::steady_clock::now()),
       tracing_(Enabled()) {
   if (tracing_) {
     Span span;
-    span.name = name_;
+    span.name = name;
     tl_open_spans.push_back(std::move(span));
   }
 }
 
-double ScopedTimer::ElapsedMs() const {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start_)
-      .count();
-}
-
 ScopedTimer::~ScopedTimer() {
-  double ms = ElapsedMs();
-  metrics::Observe(name_, ms);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count();
+  if (histogram_ != nullptr) histogram_->Observe(ms);
   if (!tracing_ || tl_open_spans.empty()) return;
   Span span = std::move(tl_open_spans.back());
   tl_open_spans.pop_back();

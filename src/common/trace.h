@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace automc {
 namespace trace {
 
@@ -32,23 +34,22 @@ void ClearRoots();
 std::string ToJson();
 std::string SpanToJson(const Span& span);
 
-// RAII wall-clock timer. On destruction it
-//   1. observes the elapsed milliseconds in the histogram named `name`
-//      (via metrics::Observe, subject to the metrics runtime switch), and
-//   2. if tracing was enabled at construction, records a Span in the
-//      current thread's trace tree.
+// RAII wall-clock timer, declared through AUTOMC_SCOPED_TIMER. On
+// destruction it
+//   1. observes the elapsed milliseconds in `histogram` unless that is null
+//      (the macro passes null while metrics are off), and
+//   2. if tracing was enabled at construction, records a Span named `name`
+//      in the current thread's trace tree.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(std::string name);
+  ScopedTimer(const char* name, metrics::Histogram* histogram);
   ~ScopedTimer();
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
-  double ElapsedMs() const;
-
  private:
-  std::string name_;
+  metrics::Histogram* histogram_;
   std::chrono::steady_clock::time_point start_;
   bool tracing_ = false;
 };
@@ -59,10 +60,12 @@ class ScopedTimer {
 #ifndef AUTOMC_DISABLE_METRICS
 #define AUTOMC_TRACE_CONCAT_INNER(a, b) a##b
 #define AUTOMC_TRACE_CONCAT(a, b) AUTOMC_TRACE_CONCAT_INNER(a, b)
-// Times the enclosing scope into histogram `name` (and the trace tree).
-#define AUTOMC_SCOPED_TIMER(name)          \
+// Times the enclosing scope into histogram `name`, a string literal (and
+// the trace tree).
+#define AUTOMC_SCOPED_TIMER(name)                                        \
   ::automc::trace::ScopedTimer AUTOMC_TRACE_CONCAT(automc_scoped_timer_, \
-                                                   __LINE__)(name)
+                                                   __LINE__)(            \
+      "" name, AUTOMC_METRIC_SITE_(GetHistogram, name))
 #else
 #define AUTOMC_SCOPED_TIMER(name) ((void)0)
 #endif

@@ -1,43 +1,11 @@
 #include "compress/compressor.h"
 
-#include <utility>
-
-#include "common/metrics.h"
-#include "common/trace.h"
 #include "compress/methods.h"
 
 namespace automc {
 namespace compress {
 
 namespace {
-
-#ifndef AUTOMC_DISABLE_METRICS
-// Wraps a concrete compressor so every Compress() call reports a
-// per-method invocation counter ("compress.<M>.invocations") and a
-// wall-time histogram ("compress.<M>.ms"). Compiled out entirely when
-// metrics are disabled at build time.
-class InstrumentedCompressor : public Compressor {
- public:
-  explicit InstrumentedCompressor(std::unique_ptr<Compressor> inner)
-      : inner_(std::move(inner)),
-        counter_name_("compress." + inner_->MethodName() + ".invocations"),
-        timer_name_("compress." + inner_->MethodName() + ".ms") {}
-
-  std::string MethodName() const override { return inner_->MethodName(); }
-
-  Status Compress(nn::Model* model, const CompressionContext& ctx,
-                  CompressionStats* stats) override {
-    metrics::Count(counter_name_);
-    trace::ScopedTimer timer(timer_name_);
-    return inner_->Compress(model, ctx, stats);
-  }
-
- private:
-  std::unique_ptr<Compressor> inner_;
-  std::string counter_name_;
-  std::string timer_name_;
-};
-#endif  // AUTOMC_DISABLE_METRICS
 
 Result<std::unique_ptr<Compressor>> MakeLma(const StrategySpec& s) {
   LmaConfig c;
@@ -105,22 +73,14 @@ Result<std::unique_ptr<Compressor>> MakeLfb(const StrategySpec& s) {
 }  // namespace
 
 Result<std::unique_ptr<Compressor>> CreateCompressor(const StrategySpec& spec) {
-  Result<std::unique_ptr<Compressor>> made =
-      Status::NotFound("unknown compression method: " + spec.method);
-  if (spec.method == "LMA") made = MakeLma(spec);
-  else if (spec.method == "LeGR") made = MakeLegr(spec);
-  else if (spec.method == "NS") made = MakeNs(spec);
-  else if (spec.method == "SFP") made = MakeSfp(spec);
-  else if (spec.method == "HOS") made = MakeHos(spec);
-  else if (spec.method == "LFB") made = MakeLfb(spec);
-  else if (spec.method == "QT") made = MakeQuant(spec);
-  if (!made.ok()) return made;
-#ifdef AUTOMC_DISABLE_METRICS
-  return made;
-#else
-  return std::unique_ptr<Compressor>(
-      new InstrumentedCompressor(std::move(*made)));
-#endif
+  if (spec.method == "LMA") return MakeLma(spec);
+  if (spec.method == "LeGR") return MakeLegr(spec);
+  if (spec.method == "NS") return MakeNs(spec);
+  if (spec.method == "SFP") return MakeSfp(spec);
+  if (spec.method == "HOS") return MakeHos(spec);
+  if (spec.method == "LFB") return MakeLfb(spec);
+  if (spec.method == "QT") return MakeQuant(spec);
+  return Status::NotFound("unknown compression method: " + spec.method);
 }
 
 }  // namespace compress

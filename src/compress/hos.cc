@@ -3,7 +3,9 @@
 #include <map>
 #include <memory>
 
+#include "common/metrics.h"
 #include "common/stats.h"
+#include "common/trace.h"
 #include "compress/lowrank_apply.h"
 #include "compress/methods.h"
 #include "compress/surgery.h"
@@ -38,6 +40,8 @@ double FilterStat(const std::string& criterion, const PrunableUnit& unit,
 
 Status HosCompressor::Compress(nn::Model* model, const CompressionContext& ctx,
                                CompressionStats* stats) {
+  AUTOMC_METRIC_COUNT("compress.HOS.invocations");
+  AUTOMC_SCOPED_TIMER("compress.HOS.ms");
   if (config_.stat_criterion != "l1norm" && config_.stat_criterion != "k34" &&
       config_.stat_criterion != "skew_kur") {
     return Status::InvalidArgument("HOS unknown stat criterion " +

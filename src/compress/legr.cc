@@ -4,6 +4,8 @@
 #include <memory>
 
 #include "common/logging.h"
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "compress/methods.h"
 #include "compress/surgery.h"
 #include "nn/trainer.h"
@@ -34,6 +36,8 @@ struct Individual {
 Status LegrCompressor::Compress(nn::Model* model,
                                 const CompressionContext& ctx,
                                 CompressionStats* stats) {
+  AUTOMC_METRIC_COUNT("compress.LeGR.invocations");
+  AUTOMC_SCOPED_TIMER("compress.LeGR.ms");
   if (config_.criterion != "l1_weight" && config_.criterion != "l2_weight" &&
       config_.criterion != "l2_bn_param") {
     return Status::InvalidArgument("LeGR unknown criterion " +

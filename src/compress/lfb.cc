@@ -1,5 +1,7 @@
 #include <memory>
 
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "compress/lowrank_apply.h"
 #include "compress/methods.h"
 #include "nn/trainer.h"
@@ -11,6 +13,8 @@ using tensor::Tensor;
 
 Status LfbCompressor::Compress(nn::Model* model, const CompressionContext& ctx,
                                CompressionStats* stats) {
+  AUTOMC_METRIC_COUNT("compress.LFB.invocations");
+  AUTOMC_SCOPED_TIMER("compress.LFB.ms");
   if (config_.aux_loss != "NLL" && config_.aux_loss != "CE" &&
       config_.aux_loss != "MSE") {
     return Status::InvalidArgument("LFB unknown aux loss " + config_.aux_loss);

@@ -1,3 +1,5 @@
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "compress/methods.h"
 #include "compress/surgery.h"
 #include "nn/trainer.h"
@@ -9,6 +11,8 @@ using tensor::Tensor;
 
 Status LmaCompressor::Compress(nn::Model* model, const CompressionContext& ctx,
                                CompressionStats* stats) {
+  AUTOMC_METRIC_COUNT("compress.LMA.invocations");
+  AUTOMC_SCOPED_TIMER("compress.LMA.ms");
   if (config_.alpha < 0.0 || config_.alpha > 1.0) {
     return Status::InvalidArgument("LMA alpha must be in [0,1]");
   }

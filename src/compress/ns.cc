@@ -1,5 +1,7 @@
 #include <algorithm>
 
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "compress/methods.h"
 #include "compress/surgery.h"
 #include "nn/trainer.h"
@@ -9,6 +11,8 @@ namespace compress {
 
 Status NsCompressor::Compress(nn::Model* model, const CompressionContext& ctx,
                               CompressionStats* stats) {
+  AUTOMC_METRIC_COUNT("compress.NS.invocations");
+  AUTOMC_SCOPED_TIMER("compress.NS.ms");
   return MeasureAround(
       model, ctx,
       [&]() -> Status {

@@ -1,6 +1,8 @@
 #include <cmath>
 #include <memory>
 
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "compress/methods.h"
 #include "nn/trainer.h"
 #include "nn/visit.h"
@@ -39,6 +41,8 @@ void QuantizeModelWeights(nn::Model* model, int bits) {
 Status QuantCompressor::Compress(nn::Model* model,
                                  const CompressionContext& ctx,
                                  CompressionStats* stats) {
+  AUTOMC_METRIC_COUNT("compress.QT.invocations");
+  AUTOMC_SCOPED_TIMER("compress.QT.ms");
   if (config_.bits < 2 || config_.bits > 16) {
     return Status::InvalidArgument("QT bits must be in [2,16]");
   }

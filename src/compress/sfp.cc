@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "compress/methods.h"
 #include "compress/surgery.h"
 #include "nn/trainer.h"
@@ -71,6 +73,8 @@ double SolveFilterFraction(nn::Model* model, double target) {
 
 Status SfpCompressor::Compress(nn::Model* model, const CompressionContext& ctx,
                                CompressionStats* stats) {
+  AUTOMC_METRIC_COUNT("compress.SFP.invocations");
+  AUTOMC_SCOPED_TIMER("compress.SFP.ms");
   if (config_.update_frequency <= 0) {
     return Status::InvalidArgument("SFP update_frequency must be positive");
   }

@@ -249,7 +249,8 @@ Result<Frame> Coordinator::Call(size_t slot_idx, MsgType type,
   }
 }
 
-Frame Coordinator::Handle(const Frame& request) {
+Frame Coordinator::Handle(uint64_t client, const Frame& request) {
+  (void)client;
   switch (static_cast<MsgType>(request.type)) {
     case MsgType::kSubmitJob: {
       // Sanity-decode before burning an id; semantic validation happens
@@ -334,9 +335,6 @@ Frame Coordinator::Handle(const Frame& request) {
       if (!reply.ok()) return ErrorFrame(reply.status());
       return *std::move(reply);
     }
-    case MsgType::kFetchModel:
-      // Blocking-path fallback; the event loop intercepts via HandleStream.
-      return server::FetchModelBlockingReply(registry_.get(), request);
     case MsgType::kListArtifacts:
       return server::ArtifactListReply(registry_.get());
     case MsgType::kSubmitWithId:
@@ -354,10 +352,7 @@ std::unique_ptr<ReplyStream> Coordinator::HandleStream(
   if (static_cast<MsgType>(request.type) != MsgType::kFetchModel) {
     return nullptr;
   }
-  ByteReader r(request.payload);
-  std::string name;
-  if (!r.Str(&name) || !r.Done()) return nullptr;  // Handle() answers kError
-  return server::MakeModelStream(registry_.get(), std::move(name));
+  return server::MakeModelStream(registry_.get(), request.payload);
 }
 
 pid_t Coordinator::worker_pid(int worker_id) const {

@@ -70,8 +70,9 @@ class Coordinator : public RequestHandler {
 
   // RequestHandler: runs on the server's event-loop thread. Submissions
   // assign an id and do one bounded round-trip to the owning worker;
-  // ListJobs fans out and merges.
-  server::Frame Handle(const server::Frame& request) override;
+  // ListJobs fans out and merges. `client` is not yet forwarded: every
+  // worker files fleet submits under tenant 0.
+  server::Frame Handle(uint64_t client, const server::Frame& request) override;
   // kFetchModel streams straight from the shared registry (chunk reads
   // are lock-free mapped probes; no worker involved).
   std::unique_ptr<ReplyStream> HandleStream(

@@ -35,19 +35,15 @@ class ReplyStream {
 // event-loop thread, so implementations must not block on long work —
 // the JobManager-backed handler only enqueues/inspects (job execution has
 // its own threads), and the coordinator handler does one bounded
-// round-trip to a worker.
+// round-trip to a worker. `client` identifies the submitting connection (a
+// monotonic serial, never a recycled fd; the fleet worker's control
+// channel passes 0), so handlers can keep per-client state — the
+// JobManager uses it as the fairness key for round-robin job scheduling.
 class RequestHandler {
  public:
   virtual ~RequestHandler() = default;
-  virtual server::Frame Handle(const server::Frame& request) = 0;
-  // Transport-aware overload: `client` identifies the submitting connection
-  // (a monotonic serial, never a recycled fd). The event loop calls this
-  // form so handlers can keep per-client state — the JobManager uses it as
-  // the fairness key for round-robin job scheduling. Default: client-blind.
-  virtual server::Frame Handle(uint64_t client, const server::Frame& request) {
-    (void)client;
-    return Handle(request);
-  }
+  virtual server::Frame Handle(uint64_t client,
+                               const server::Frame& request) = 0;
   // Streaming requests: return a ReplyStream whose Next() yields every
   // reply frame (head included), or nullptr — the default — to mean "not a
   // streaming request; call Handle() instead". While a stream is active the

@@ -45,7 +45,7 @@ int WorkerMain(int control_fd, server::JobManager::Options jobs) {
       (*mgr)->Shutdown(/*drain=*/true);
       return 1;
     }
-    server::Frame reply = handler.Handle(*frame);
+    server::Frame reply = handler.Handle(/*client=*/0, *frame);
     if (automc::Status st =
             server::WriteFrame(control_fd,
                                static_cast<server::MsgType>(reply.type),

@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -82,17 +83,37 @@ Result<std::string> ReadString(std::istream* in) {
   if (!in->good()) return Status::OutOfRange("truncated stream (string)");
   return s;
 }
+
+// Bytes left between the read position and the end of `in`. The decoder
+// needs a seekable stream anyway (ReadOptional seeks back over a tag).
+int64_t RemainingBytes(std::istream* in) {
+  const std::streampos pos = in->tellg();
+  in->seekg(0, std::ios::end);
+  const std::streampos end = in->tellg();
+  in->seekg(pos);
+  return pos < 0 || end < pos ? 0 : static_cast<int64_t>(end - pos);
+}
+
 Result<tensor::Tensor> ReadTensor(std::istream* in) {
   AUTOMC_ASSIGN_OR_RETURN(uint32_t dim, ReadU32(in));
   if (dim > 8) return Status::InvalidArgument("implausible tensor rank");
   std::vector<int64_t> shape;
-  int64_t numel = 1;
   for (uint32_t i = 0; i < dim; ++i) {
     AUTOMC_ASSIGN_OR_RETURN(int64_t d, ReadI64(in));
     if (d < 0 || d > (1 << 24)) {
       return Status::InvalidArgument("implausible tensor dim");
     }
     shape.push_back(d);
+  }
+  // Refuse a tensor the stream cannot hold before allocating it. numel
+  // never exceeds `room`, so the product cannot overflow.
+  const int64_t room =
+      RemainingBytes(in) / static_cast<int64_t>(sizeof(float));
+  int64_t numel = std::count(shape.begin(), shape.end(), 0) > 0 ? 0 : 1;
+  for (int64_t d : shape) {
+    if (numel > room / std::max<int64_t>(d, 1)) {
+      return Status::InvalidArgument("tensor larger than the stream");
+    }
     numel *= d;
   }
   tensor::Tensor t(shape);
@@ -213,16 +234,21 @@ Status WriteLayer(std::ostream* out, Layer* layer) {
   return Status::Unimplemented("cannot serialize layer: " + layer->Name());
 }
 
-Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in);
+// Deepest layer nesting the decoder accepts. Zoo models nest a few levels
+// (Sequential > ResidualBlock > LowRankConv > Conv2d); the bound only keeps
+// a hostile file from exhausting the stack through recursion.
+constexpr int kMaxNesting = 64;
+
+Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in, int depth);
 
 // Reads an optional sub-layer; null when the tag says absent.
-Result<std::unique_ptr<Layer>> ReadOptional(std::istream* in) {
+Result<std::unique_ptr<Layer>> ReadOptional(std::istream* in, int depth) {
   // Peek the tag by reading it and dispatching manually.
   AUTOMC_ASSIGN_OR_RETURN(uint32_t tag, ReadU32(in));
   if (tag == kTagAbsent) return std::unique_ptr<Layer>(nullptr);
   // Re-dispatch with the tag already consumed.
   in->seekg(-static_cast<std::streamoff>(sizeof(uint32_t)), std::ios::cur);
-  return ReadLayer(in);
+  return ReadLayer(in, depth);
 }
 
 template <typename T>
@@ -238,7 +264,11 @@ Result<std::unique_ptr<T>> CastLayer(Result<std::unique_ptr<Layer>> layer,
   return std::unique_ptr<T>(cast);
 }
 
-Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in) {
+Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in, int depth) {
+  if (depth > kMaxNesting) {
+    return Status::InvalidArgument("layer nesting deeper than " +
+                                   std::to_string(kMaxNesting));
+  }
   AUTOMC_ASSIGN_OR_RETURN(uint32_t tag, ReadU32(in));
   switch (tag) {
     case kTagConv2d: {
@@ -325,7 +355,8 @@ Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in) {
       }
       auto seq = std::make_unique<Sequential>();
       for (int64_t i = 0; i < n; ++i) {
-        AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> child, ReadLayer(in));
+        AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> child,
+                                ReadLayer(in, depth + 1));
         seq->Add(std::move(child));
       }
       return std::unique_ptr<Layer>(std::move(seq));
@@ -339,7 +370,7 @@ Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in) {
       for (int64_t i = 0; i < n; ++i) {
         AUTOMC_ASSIGN_OR_RETURN(
             std::unique_ptr<Conv2d> stage,
-            CastLayer<Conv2d>(ReadLayer(in), "Conv2d stage"));
+            CastLayer<Conv2d>(ReadLayer(in, depth + 1), "Conv2d stage"));
         if (stage == nullptr) {
           return Status::InvalidArgument("null low-rank stage");
         }
@@ -356,36 +387,37 @@ Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in) {
       auto kind = kind_u == 0 ? ResidualBlock::Kind::kBasic
                               : ResidualBlock::Kind::kBottleneck;
       auto block = ResidualBlock::MakeShell(kind, in_c, out_c, stride);
-      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> conv1, ReadOptional(in));
+      auto optional = [&] { return ReadOptional(in, depth + 1); };
+      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> conv1, optional());
       block->set_conv1(std::move(conv1));
       AUTOMC_ASSIGN_OR_RETURN(
           std::unique_ptr<BatchNorm2d> bn1,
-          CastLayer<BatchNorm2d>(ReadOptional(in), "BatchNorm2d"));
+          CastLayer<BatchNorm2d>(optional(), "BatchNorm2d"));
       block->set_bn1(std::move(bn1));
-      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> act1, ReadOptional(in));
+      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> act1, optional());
       block->set_act1(std::move(act1));
-      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> conv2, ReadOptional(in));
+      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> conv2, optional());
       block->set_conv2(std::move(conv2));
       AUTOMC_ASSIGN_OR_RETURN(
           std::unique_ptr<BatchNorm2d> bn2,
-          CastLayer<BatchNorm2d>(ReadOptional(in), "BatchNorm2d"));
+          CastLayer<BatchNorm2d>(optional(), "BatchNorm2d"));
       block->set_bn2(std::move(bn2));
-      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> act2, ReadOptional(in));
+      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> act2, optional());
       block->set_act2(std::move(act2));
-      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> conv3, ReadOptional(in));
+      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> conv3, optional());
       block->set_conv3(std::move(conv3));
       AUTOMC_ASSIGN_OR_RETURN(
           std::unique_ptr<BatchNorm2d> bn3,
-          CastLayer<BatchNorm2d>(ReadOptional(in), "BatchNorm2d"));
+          CastLayer<BatchNorm2d>(optional(), "BatchNorm2d"));
       block->set_bn3(std::move(bn3));
-      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> act_out, ReadOptional(in));
+      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> act_out, optional());
       block->set_act_out(std::move(act_out));
       AUTOMC_ASSIGN_OR_RETURN(
           std::unique_ptr<Conv2d> ds_conv,
-          CastLayer<Conv2d>(ReadOptional(in), "Conv2d"));
+          CastLayer<Conv2d>(optional(), "Conv2d"));
       AUTOMC_ASSIGN_OR_RETURN(
           std::unique_ptr<BatchNorm2d> ds_bn,
-          CastLayer<BatchNorm2d>(ReadOptional(in), "BatchNorm2d"));
+          CastLayer<BatchNorm2d>(optional(), "BatchNorm2d"));
       block->set_downsample(std::move(ds_conv), std::move(ds_bn));
       return std::unique_ptr<Layer>(std::move(block));
     }
@@ -442,7 +474,7 @@ Result<std::unique_ptr<Model>> DeserializeModel(std::istream* in) {
     return Status::InvalidArgument("implausible weight bits");
   }
 
-  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> root, ReadLayer(in));
+  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<Layer> root, ReadLayer(in, 0));
   auto* seq = dynamic_cast<Sequential*>(root.get());
   if (seq == nullptr) {
     return Status::InvalidArgument("model root is not Sequential");

@@ -22,6 +22,8 @@ namespace nn {
 // Integers are little-endian fixed width; tensors are shape + raw float32.
 
 Status SerializeModel(Model* model, std::ostream* out);
+// `in` must be seekable: a tensor larger than the bytes left in it is
+// refused before anything is allocated.
 Result<std::unique_ptr<Model>> DeserializeModel(std::istream* in);
 
 // File convenience wrappers.

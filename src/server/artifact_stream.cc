@@ -23,12 +23,19 @@ Frame MakeFrame(MsgType type, std::string payload) {
 // request on the connection.
 class ModelStream : public fleet::ReplyStream {
  public:
-  ModelStream(artifact::Registry* registry, std::string name)
-      : registry_(registry), name_(std::move(name)) {}
+  ModelStream(artifact::Registry* registry, std::string_view payload)
+      : registry_(registry) {
+    ByteReader r(payload);
+    malformed_ = !r.Str(&name_) || !r.Done();
+  }
 
   bool Next(Frame* out) override {
     switch (stage_) {
       case Stage::kStart: {
+        if (malformed_) {
+          return Fail(out,
+                      Status::InvalidArgument("malformed FetchModel payload"));
+        }
         if (registry_ == nullptr) {
           return Fail(out,
                       Status::FailedPrecondition("no artifact registry"));
@@ -79,6 +86,7 @@ class ModelStream : public fleet::ReplyStream {
 
   artifact::Registry* registry_;
   std::string name_;
+  bool malformed_ = false;
   artifact::Manifest manifest_;
   size_t next_chunk_ = 0;
   Stage stage_ = Stage::kStart;
@@ -102,8 +110,8 @@ ArtifactInfo InfoFromManifest(const artifact::Manifest& m) {
 }
 
 std::unique_ptr<fleet::ReplyStream> MakeModelStream(
-    artifact::Registry* registry, std::string name) {
-  return std::make_unique<ModelStream>(registry, std::move(name));
+    artifact::Registry* registry, std::string_view payload) {
+  return std::make_unique<ModelStream>(registry, payload);
 }
 
 Frame ArtifactListReply(artifact::Registry* registry) {
@@ -119,25 +127,6 @@ Frame ArtifactListReply(artifact::Registry* registry) {
     EncodeArtifactInfo(InfoFromManifest(m), &w);
   }
   return MakeFrame(MsgType::kArtifactList, w.Take());
-}
-
-Frame FetchModelBlockingReply(artifact::Registry* registry,
-                              const Frame& request) {
-  ByteReader r(request.payload);
-  std::string name;
-  if (!r.Str(&name) || !r.Done()) {
-    return MakeFrame(MsgType::kError,
-                     EncodeError(Status::InvalidArgument(
-                         "malformed FetchModel payload")));
-  }
-  if (registry == nullptr || !registry->GetManifest(name).ok()) {
-    return MakeFrame(MsgType::kError,
-                     EncodeError(Status::NotFound("no artifact '" + name +
-                                                  "'")));
-  }
-  return MakeFrame(MsgType::kError,
-                   EncodeError(Status::Unimplemented(
-                       "FetchModel requires the streaming transport")));
 }
 
 }  // namespace server

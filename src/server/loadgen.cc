@@ -489,7 +489,16 @@ void Replayer::OnReply(Conn* conn, const Frame& frame, int64_t now_ns) {
     return;
   }
   latency_[static_cast<int>(p.op)]->Observe(ms);
-  AUTOMC_METRIC_OBSERVE(std::string("load.") + OpName(p.op) + "_ms", ms);
+  switch (p.op) {
+    case Op::kStatus: AUTOMC_METRIC_OBSERVE("load.status_ms", ms); break;
+    case Op::kList: AUTOMC_METRIC_OBSERVE("load.list_ms", ms); break;
+    case Op::kSubmit: AUTOMC_METRIC_OBSERVE("load.submit_ms", ms); break;
+    case Op::kCancel: AUTOMC_METRIC_OBSERVE("load.cancel_ms", ms); break;
+    case Op::kFetch: AUTOMC_METRIC_OBSERVE("load.fetch_ms", ms); break;
+    case Op::kFetchModel:
+      AUTOMC_METRIC_OBSERVE("load.fetch_model_ms", ms);
+      break;
+  }
 }
 
 void Replayer::ReadConn(Conn* conn) {

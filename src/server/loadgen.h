@@ -98,7 +98,7 @@ struct Report {
   int64_t reconnects = 0;      // churn-driven close+reopen cycles
   int64_t conn_failures = 0;   // transport-level connection losses
   int64_t submitted_jobs = 0;  // acknowledged kSubmitted replies
-  // Bucket-interpolated percentiles (ms) from the load.<op>_ms histograms;
+  // Bucket-interpolated percentiles (ms) from the per-op latency histograms;
   // 0 for an op with no latency samples.
   double p50_ms[kNumOps] = {};
   double p95_ms[kNumOps] = {};
@@ -138,9 +138,10 @@ struct ReplayOptions {
   std::string artifact_name;
 };
 
-// Runs the schedule against a live endpoint. Latency samples land in the
-// MetricsRegistry histograms "load.<op>_ms" (LatencyBounds resolution);
-// the returned report carries the per-op percentiles and error taxonomy.
+// Runs the schedule against a live endpoint. Latency samples land in
+// per-op LatencyBounds histograms, whose percentiles the returned report
+// carries with the error taxonomy, and in the MetricsRegistry histograms
+// "load.<op>_ms".
 // Fails only on setup errors (cannot connect at start); a connection lost
 // mid-run is counted, reopened, and the run continues.
 Result<Report> RunReplay(const ReplayOptions& options);

@@ -128,10 +128,6 @@ Frame JobRequestHandler::Handle(uint64_t client, const Frame& request) {
       return ReplyFrame(MsgType::kMetrics,
                         metrics::MetricsRegistry::Global().ToJson());
     }
-    case MsgType::kFetchModel:
-      // Only reachable on a blocking transport (the fleet worker control
-      // channel); the event loop intercepts this type via HandleStream.
-      return FetchModelBlockingReply(jobs_->registry(), request);
     case MsgType::kListArtifacts:
       return ArtifactListReply(jobs_->registry());
     default:
@@ -146,10 +142,7 @@ std::unique_ptr<fleet::ReplyStream> JobRequestHandler::HandleStream(
   if (static_cast<MsgType>(request.type) != MsgType::kFetchModel) {
     return nullptr;
   }
-  ByteReader r(request.payload);
-  std::string name;
-  if (!r.Str(&name) || !r.Done()) return nullptr;  // Handle() answers kError
-  return MakeModelStream(jobs_->registry(), std::move(name));
+  return MakeModelStream(jobs_->registry(), request.payload);
 }
 
 Result<std::unique_ptr<Server>> Server::Start(Options options) {

@@ -20,13 +20,12 @@ namespace server {
 class JobRequestHandler : public fleet::RequestHandler {
  public:
   explicit JobRequestHandler(JobManager* jobs) : jobs_(jobs) {}
-  // client-blind entry (fleet worker control channel): tenant 0.
-  Frame Handle(const Frame& request) override { return Handle(0, request); }
-  // Event-loop entry: `client` (the connection serial) becomes the
-  // JobManager fairness tenant for kSubmitJob, so concurrent submitters
-  // share job slots round-robin instead of strictly FIFO.
+  // `client` (the connection serial; 0 on the fleet worker's control
+  // channel) becomes the JobManager fairness tenant for kSubmitJob, so
+  // concurrent submitters share job slots round-robin instead of strictly
+  // FIFO.
   Frame Handle(uint64_t client, const Frame& request) override;
-  // kFetchModel gets a chunked multi-frame reply (see
+  // Every kFetchModel gets a chunked multi-frame reply (see
   // server/artifact_stream.h); everything else falls through to Handle.
   std::unique_ptr<fleet::ReplyStream> HandleStream(
       uint64_t client, const Frame& request) override;

@@ -31,31 +31,6 @@ int64_t RowGrain(int64_t m, int64_t flops_per_row, int64_t round_to = 4) {
   return rows;
 }
 
-}  // namespace
-
-namespace {
-
-// Per-thread dispatch counters, cached and keyed by the registry
-// generation (same pattern as the COW counters in tensor.cc) so the GEMM
-// hot path never takes the registry mutex.
-struct GemmCounters {
-  uint64_t generation = ~uint64_t{0};
-  metrics::Counter* avx2 = nullptr;
-  metrics::Counter* scalar = nullptr;
-};
-
-GemmCounters& DispatchCounters() {
-  thread_local GemmCounters c;
-  auto& reg = metrics::MetricsRegistry::Global();
-  uint64_t gen = reg.generation();
-  if (c.generation != gen) {
-    c.avx2 = &reg.GetCounter("simd.gemm_avx2");
-    c.scalar = &reg.GetCounter("simd.gemm_scalar");
-    c.generation = gen;
-  }
-  return c;
-}
-
 // All three GEMM entry points funnel through here. The AVX2 path packs B
 // once on the calling thread (the packed panels live in that thread's
 // scratch, which stays valid while ParallelFor blocks on the chunks) and
@@ -68,7 +43,7 @@ GemmCounters& DispatchCounters() {
 void GemmDispatch(simd::GemmOp op, const float* a, const float* b, float* c,
                   int64_t m, int64_t k, int64_t n) {
   if (simd::ActiveMode() == simd::SimdMode::kAvx2 && n >= 8) {
-    if (metrics::Enabled()) DispatchCounters().avx2->Add(1);
+    AUTOMC_METRIC_COUNT("simd.gemm_avx2");
     const simd::TileParams p = simd::ChooseTile(op, m, k, n);
     const simd::PackedB pb = simd::PackB(op, b, k, n, p.nv);
     automc::ParallelFor(m, RowGrain(m, k * n, p.mr),
@@ -78,7 +53,7 @@ void GemmDispatch(simd::GemmOp op, const float* a, const float* b, float* c,
                         });
     return;
   }
-  if (metrics::Enabled()) DispatchCounters().scalar->Add(1);
+  AUTOMC_METRIC_COUNT("simd.gemm_scalar");
   automc::ParallelFor(m, RowGrain(m, k * n), [=](int64_t r0, int64_t r1) {
     simd::GemmRowsScalar(op, a, b, c, m, k, n, r0, r1);
   });

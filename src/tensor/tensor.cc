@@ -41,57 +41,26 @@ std::shared_ptr<Tensor::Buffer> ZeroPage(int64_t numel) {
   return g_zero_page;
 }
 
-#ifndef AUTOMC_DISABLE_METRICS
-// tensor.* counters, re-fetched from the registry only when a Reset()
-// bumped its generation. Copies and materializations happen inside
-// parallel kernels, so the per-event cost must stay at a couple of relaxed
-// atomics — a mutex-guarded map lookup per alias would serialize the pool.
-struct CowCounters {
-  uint64_t generation = ~uint64_t{0};
-  metrics::Counter* copies = nullptr;
-  metrics::Counter* materializations = nullptr;
-  metrics::Counter* materialized_bytes = nullptr;
-  metrics::Counter* shared_bytes = nullptr;
-};
-
-CowCounters* GetCowCounters() {
-  thread_local CowCounters c;
-  auto& reg = metrics::MetricsRegistry::Global();
-  uint64_t gen = reg.generation();
-  if (c.generation != gen) {
-    c.copies = &reg.GetCounter("tensor.cow_copies");
-    c.materializations = &reg.GetCounter("tensor.cow_materializations");
-    c.materialized_bytes = &reg.GetCounter("tensor.cow_materialized_bytes");
-    c.shared_bytes = &reg.GetCounter("tensor.shared_bytes");
-    c.generation = gen;
-  }
-  return &c;
-}
-
+// tensor.* accounting. Copies and materializations happen inside parallel
+// kernels; each macro site keeps its counter, so an event costs a couple of
+// relaxed atomics and never the registry mutex.
 void NoteAlias(int64_t numel) {
-  if (numel <= 0 || !metrics::Enabled()) return;
-  CowCounters* c = GetCowCounters();
-  c->copies->Add(1);
-  c->shared_bytes->Add(numel * static_cast<int64_t>(sizeof(float)));
+  if (numel <= 0) return;
+  AUTOMC_METRIC_COUNT("tensor.cow_copies");
+  AUTOMC_METRIC_COUNT("tensor.shared_bytes",
+                      numel * static_cast<int64_t>(sizeof(float)));
 }
 
 void NoteZeroAlias(int64_t numel) {
-  if (numel <= 0 || !metrics::Enabled()) return;
-  GetCowCounters()->shared_bytes->Add(numel *
-                                      static_cast<int64_t>(sizeof(float)));
+  if (numel <= 0) return;
+  AUTOMC_METRIC_COUNT("tensor.shared_bytes",
+                      numel * static_cast<int64_t>(sizeof(float)));
 }
 
 void NoteMaterialize(int64_t copied_bytes) {
-  if (!metrics::Enabled()) return;
-  CowCounters* c = GetCowCounters();
-  c->materializations->Add(1);
-  c->materialized_bytes->Add(copied_bytes);
+  AUTOMC_METRIC_COUNT("tensor.cow_materializations");
+  AUTOMC_METRIC_COUNT("tensor.cow_materialized_bytes", copied_bytes);
 }
-#else
-void NoteAlias(int64_t) {}
-void NoteZeroAlias(int64_t) {}
-void NoteMaterialize(int64_t) {}
-#endif
 
 }  // namespace
 

@@ -24,27 +24,6 @@ namespace {
 constexpr char kMagic[4] = {'A', 'M', 'T', 'N'};
 constexpr uint32_t kVersion = 1;
 
-// Hot-path counters, cached thread-locally and keyed by the registry
-// generation so Reset() in tests never leaves a dangling pointer (same
-// pattern as the COW counters in tensor.cc).
-struct TuneCounters {
-  uint64_t generation = ~uint64_t{0};
-  metrics::Counter* hits = nullptr;
-  metrics::Counter* probes = nullptr;
-};
-
-TuneCounters& Counters() {
-  thread_local TuneCounters c;
-  auto& reg = metrics::MetricsRegistry::Global();
-  uint64_t gen = reg.generation();
-  if (c.generation != gen) {
-    c.hits = &reg.GetCounter("simd.tune_hits");
-    c.probes = &reg.GetCounter("simd.tune_probes");
-    c.generation = gen;
-  }
-  return c;
-}
-
 int32_t FloorLog2(int64_t v) {
   int32_t lg = 0;
   while (v > 1) {
@@ -189,7 +168,7 @@ TileParams ProbeShape(GemmOp op, int64_t m, int64_t k, int64_t n) {
       double ns = static_cast<double>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
               .count());
-      Counters().probes->Add(1);
+      AUTOMC_METRIC_COUNT("simd.tune_probes");
       if (best_ns < 0.0 || ns < best_ns) {
         best_ns = ns;
         best = p;
@@ -210,7 +189,7 @@ TileParams ChooseTile(GemmOp op, int64_t m, int64_t k, int64_t n) {
     if (st.file_loaded) {
       auto it = st.table.find(key);
       if (it != st.table.end()) {
-        Counters().hits->Add(1);
+        AUTOMC_METRIC_COUNT("simd.tune_hits");
         return it->second;
       }
     }
@@ -223,7 +202,7 @@ TileParams ChooseTile(GemmOp op, int64_t m, int64_t k, int64_t n) {
   }
   auto it = st.table.find(key);
   if (it != st.table.end()) {
-    Counters().hits->Add(1);
+    AUTOMC_METRIC_COUNT("simd.tune_hits");
     return it->second;
   }
   // First touch of this shape class: probe while holding the lock so

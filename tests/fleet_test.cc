@@ -7,6 +7,7 @@
 // Needs the built daemon binary: ctest exports AUTOMC_SERVE_BIN; running
 // the test binary by hand without it skips these tests.
 #include <signal.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include <thread>
 
 #include "common/bytes.h"
+#include "common/net.h"
 #include "core/run_spec.h"
 #include "fleet/coordinator.h"
 #include "gtest/gtest.h"
@@ -269,6 +271,43 @@ TEST(FleetTest, PublishedModelSurvivesThePublishingWorker) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   fetch("after SIGKILL + respawn of the publishing worker");
+}
+
+// A kFetchModel whose payload is not a name gets a typed InvalidArgument
+// stream, and a request pipelined behind it on the same connection is still
+// answered, in order.
+void ExpectMalformedFetchAnswered(const std::string& address) {
+  auto fd = net::ConnectAddress(address);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  ASSERT_TRUE(
+      server::WriteFrame(*fd, server::MsgType::kFetchModel, "\x01").ok());
+  ASSERT_TRUE(server::WriteFrame(*fd, server::MsgType::kListJobs, "").ok());
+  auto error = server::ReadFrame(*fd);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  ASSERT_EQ(error->type, static_cast<uint32_t>(server::MsgType::kError));
+  EXPECT_EQ(server::DecodeError(error->payload).code(),
+            StatusCode::kInvalidArgument);
+  auto list = server::ReadFrame(*fd);
+  ASSERT_TRUE(list.ok()) << list.status().ToString();
+  EXPECT_EQ(list->type, static_cast<uint32_t>(server::MsgType::kJobList));
+  ::close(*fd);
+}
+
+TEST(FleetTest, MalformedFetchModelIsTypedOnServerAndFleet) {
+  ScopedTempDir dir("fleet_bad_fetch");
+  {
+    server::Server::Options opts;
+    opts.socket_path = dir.File("single.sock");
+    opts.jobs.workdir = dir.File("single");
+    auto single = server::Server::Start(std::move(opts));
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    ExpectMalformedFetchAnswered(dir.File("single.sock"));
+    (*single)->Stop();
+  }
+  if (ServeBin() == nullptr) GTEST_SKIP() << "AUTOMC_SERVE_BIN not set";
+  Fleet fleet = StartFleet(dir, /*workers=*/2);
+  ASSERT_NE(fleet.server, nullptr);
+  ExpectMalformedFetchAnswered(dir.File("fleet.sock"));
 }
 
 }  // namespace

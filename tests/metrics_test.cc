@@ -1,15 +1,20 @@
 // Metrics/trace subsystem: counter/gauge/histogram semantics, scoped-timer
-// nesting, JSON export round-trip, and disabled-mode no-op behaviour.
+// nesting, JSON export round-trip, disabled-mode no-op behaviour, and the
+// recording contract: references outlive Reset(), which zeroes in place.
 #include "common/metrics.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "gtest/gtest.h"
+#include "tensor/ops.h"
+#include "tensor/tensor.h"
 
 namespace automc {
 namespace {
@@ -44,8 +49,8 @@ class MetricsTest : public ::testing::Test {
 };
 
 TEST_F(MetricsTest, CounterAccumulates) {
-  metrics::Count("t.counter");
-  metrics::Count("t.counter", 4);
+  AUTOMC_METRIC_COUNT("t.counter");
+  AUTOMC_METRIC_COUNT("t.counter", 4);
   EXPECT_EQ(MetricsRegistry::Global().GetCounter("t.counter").value(), 5);
   // Same name resolves to the same instance.
   MetricsRegistry::Global().GetCounter("t.counter").Add(2);
@@ -53,8 +58,8 @@ TEST_F(MetricsTest, CounterAccumulates) {
 }
 
 TEST_F(MetricsTest, GaugeLastValueWins) {
-  metrics::SetGauge("t.gauge", 1.5);
-  metrics::SetGauge("t.gauge", -2.25);
+  AUTOMC_METRIC_GAUGE("t.gauge", 1.5);
+  AUTOMC_METRIC_GAUGE("t.gauge", -2.25);
   EXPECT_DOUBLE_EQ(MetricsRegistry::Global().GetGauge("t.gauge").value(),
                    -2.25);
 }
@@ -88,10 +93,7 @@ TEST_F(MetricsTest, HistogramDefaultBoundsCoverMillisecondRange) {
 }
 
 TEST_F(MetricsTest, ScopedTimerFeedsHistogram) {
-  {
-    trace::ScopedTimer t("t.timer_ms");
-    EXPECT_GE(t.ElapsedMs(), 0.0);
-  }
+  { AUTOMC_SCOPED_TIMER("t.timer_ms"); }
   Histogram& h = MetricsRegistry::Global().GetHistogram("t.timer_ms");
   EXPECT_EQ(h.count(), 1);
   EXPECT_GE(h.sum(), 0.0);
@@ -100,12 +102,12 @@ TEST_F(MetricsTest, ScopedTimerFeedsHistogram) {
 TEST_F(MetricsTest, ScopedTimerNestingBuildsTraceTree) {
   trace::SetEnabled(true);
   {
-    trace::ScopedTimer outer("t.outer_ms");
+    AUTOMC_SCOPED_TIMER("t.outer_ms");
     {
-      trace::ScopedTimer inner("t.inner_ms");
+      AUTOMC_SCOPED_TIMER("t.inner_ms");
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    { trace::ScopedTimer inner2("t.inner2_ms"); }
+    { AUTOMC_SCOPED_TIMER("t.inner2_ms"); }
   }
   std::vector<trace::Span> roots = trace::Roots();
   ASSERT_EQ(roots.size(), 1u);
@@ -122,8 +124,8 @@ TEST_F(MetricsTest, ScopedTimerNestingBuildsTraceTree) {
 }
 
 TEST_F(MetricsTest, JsonExportRoundTrip) {
-  metrics::Count("rt.executions", 42);
-  metrics::SetGauge("rt.gauge", 3.5);
+  AUTOMC_METRIC_COUNT("rt.executions", 42);
+  AUTOMC_METRIC_GAUGE("rt.gauge", 3.5);
   Histogram& h = MetricsRegistry::Global().GetHistogram("rt.hist", {1.0, 2.0});
   h.Observe(0.5);
   h.Observe(1.5);
@@ -152,7 +154,7 @@ TEST_F(MetricsTest, JsonExportRoundTrip) {
 }
 
 TEST_F(MetricsTest, DumpIfConfiguredHonorsEnv) {
-  metrics::Count("dump.counter", 7);
+  AUTOMC_METRIC_COUNT("dump.counter", 7);
   // Unset: nothing written.
   unsetenv("AUTOMC_METRICS_OUT");
   EXPECT_FALSE(MetricsRegistry::Global().DumpIfConfigured());
@@ -171,10 +173,10 @@ TEST_F(MetricsTest, DumpIfConfiguredHonorsEnv) {
 TEST_F(MetricsTest, DisabledModeIsNoOp) {
   metrics::SetEnabled(false);
   EXPECT_FALSE(metrics::Enabled());
-  metrics::Count("off.counter", 5);
-  metrics::SetGauge("off.gauge", 1.0);
-  metrics::Observe("off.hist", 1.0);
-  { trace::ScopedTimer t("off.timer_ms"); }
+  AUTOMC_METRIC_COUNT("off.counter", 5);
+  AUTOMC_METRIC_GAUGE("off.gauge", 1.0);
+  AUTOMC_METRIC_OBSERVE("off.hist", 1.0);
+  { AUTOMC_SCOPED_TIMER("off.timer_ms"); }
   metrics::SetEnabled(true);
   // Nothing was recorded while disabled: the names exist only if someone
   // created them, and the export must not mention them.
@@ -185,13 +187,84 @@ TEST_F(MetricsTest, DisabledModeIsNoOp) {
   EXPECT_EQ(json.find("off.timer_ms"), std::string::npos);
 }
 
-TEST_F(MetricsTest, ResetDropsEverything) {
-  metrics::Count("gone.counter");
-  metrics::Observe("gone.hist", 1.0);
+TEST_F(MetricsTest, ResetZeroesInPlace) {
+  AUTOMC_METRIC_COUNT("kept.counter", 3);
+  AUTOMC_METRIC_GAUGE("kept.gauge", 2.5);
+  MetricsRegistry::Global().GetHistogram("kept.hist", {1.0, 2.0}).Observe(1.5);
   MetricsRegistry::Global().Reset();
+  // Every name survives with a zero value; a histogram keeps its bounds.
   std::string json = MetricsRegistry::Global().ToJson();
-  EXPECT_EQ(json.find("gone.counter"), std::string::npos);
-  EXPECT_EQ(json.find("gone.hist"), std::string::npos);
+  EXPECT_DOUBLE_EQ(ExtractNumber(json, "kept.counter"), 0.0);
+  EXPECT_DOUBLE_EQ(ExtractNumber(json, "kept.gauge"), 0.0);
+  size_t hist_pos = json.find("\"kept.hist\"");
+  ASSERT_NE(hist_pos, std::string::npos);
+  EXPECT_DOUBLE_EQ(ExtractNumber(json.substr(hist_pos), "count"), 0.0);
+  Histogram& h = MetricsRegistry::Global().GetHistogram("kept.hist");
+  EXPECT_EQ(h.bounds(), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(h.bucket_counts(), (std::vector<int64_t>{0, 0, 0}));
+  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
+  EXPECT_DOUBLE_EQ(h.min(), 0.0);
+  EXPECT_DOUBLE_EQ(h.max(), 0.0);
+}
+
+TEST_F(MetricsTest, ReferenceTakenBeforeResetStaysValid) {
+  metrics::Counter& c = MetricsRegistry::Global().GetCounter("ref.counter");
+  Histogram& h = MetricsRegistry::Global().GetHistogram("ref.hist");
+  c.Add(3);
+  h.Observe(4.0);
+  MetricsRegistry::Global().Reset();
+  EXPECT_EQ(c.value(), 0);
+  EXPECT_EQ(h.count(), 0);
+  c.Add(2);
+  h.Observe(1.0);
+  EXPECT_EQ(MetricsRegistry::Global().GetCounter("ref.counter").value(), 2);
+  EXPECT_EQ(MetricsRegistry::Global().GetHistogram("ref.hist").count(), 1);
+}
+
+// The hot paths record through macro sites too, so switching metrics off
+// must keep GEMM dispatch, the tile tuner and copy-on-write accounting from
+// creating a single name. No earlier test in this binary touches tensors,
+// so any simd.* or tensor.* name would come from this test.
+TEST_F(MetricsTest, DisabledHotPathsCreateNoNames) {
+  metrics::SetEnabled(false);
+  tensor::Tensor a = tensor::Tensor::Full({4, 16}, 1.0f);
+  tensor::Tensor b = tensor::Tensor::Full({16, 8}, 0.5f);  // n = 8: AVX2 path
+  tensor::Tensor c = tensor::MatMul(a, b);
+  tensor::Tensor copy = c;
+  copy.MutableData()[0] = 0.0f;  // materializes the alias
+  metrics::SetEnabled(true);
+  EXPECT_FLOAT_EQ(c.data()[0], 8.0f);
+  std::string json = MetricsRegistry::Global().ToJson();
+  EXPECT_EQ(json.find("\"simd."), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"tensor."), std::string::npos) << json;
+}
+
+void RecordRace() {
+  AUTOMC_METRIC_COUNT("race.counter");
+  AUTOMC_METRIC_OBSERVE("race.hist", 1.0);
+}
+
+// Pool threads record through one pair of macro sites while the main
+// thread keeps zeroing the registry; the sites' references never dangle.
+TEST_F(MetricsTest, MacroSitesRecordAcrossConcurrentReset) {
+  ThreadPool pool(4);
+  std::atomic<bool> done{false};
+  std::thread recorder([&] {
+    pool.ParallelFor(64, 1, [](int64_t, int64_t) {
+      for (int i = 0; i < 2000; ++i) RecordRace();
+    });
+    done.store(true);
+  });
+  while (!done.load()) MetricsRegistry::Global().Reset();
+  recorder.join();
+
+  MetricsRegistry::Global().Reset();
+  pool.ParallelFor(1000, 1, [](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) RecordRace();
+  });
+  EXPECT_EQ(MetricsRegistry::Global().GetCounter("race.counter").value(),
+            1000);
+  EXPECT_EQ(MetricsRegistry::Global().GetHistogram("race.hist").count(), 1000);
 }
 
 }  // namespace

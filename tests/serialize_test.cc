@@ -1,5 +1,6 @@
 #include <sstream>
 
+#include "common/bytes.h"
 #include "compress/lowrank_apply.h"
 #include "compress/methods.h"
 #include "compress/surgery.h"
@@ -183,6 +184,58 @@ TEST(SerializeTest, MissingFileIsNotFound) {
   auto loaded = LoadModel("/nonexistent/automc.bin");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+// Layer tags of the model format (src/nn/serialize.cc), spelled out so the
+// hostile files below are byte-exact.
+constexpr uint32_t kTagConv2d = 1;
+constexpr uint32_t kTagReLU = 4;
+constexpr uint32_t kTagSequential = 9;
+
+// Magic, version and ModelSpec: everything before the root layer.
+void WriteHeader(ByteWriter* w) {
+  w->U32(0x4d434d41);  // "AMCM"
+  w->U32(1);
+  w->Str("resnet");
+  for (int64_t field : {20, 10, 16, 3, 32}) w->I64(field);  // depth..image
+  w->I64(32);  // weight bits
+}
+
+TEST(SerializeTest, RefusesTensorLargerThanTheStream) {
+  // The first Conv2d weight declares shape [2^24, 2^24]: each dim passes
+  // the per-dim bound, but 2^48 floats must be refused before allocation.
+  ByteWriter w;
+  WriteHeader(&w);
+  w.U32(kTagSequential);
+  w.I64(1);
+  w.U32(kTagConv2d);
+  for (int64_t field : {3, 16, 3, 1, 1}) w.I64(field);  // in..pad
+  w.U32(0);  // no bias
+  w.U32(2);  // weight rank
+  w.I64(int64_t{1} << 24);
+  w.I64(int64_t{1} << 24);
+  ASSERT_EQ(w.str().size(), 146u);
+  std::stringstream in(w.str());
+  auto loaded = DeserializeModel(&in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SerializeTest, RefusesNestingDeeperThanAnyModel) {
+  // 5,000 nested Sequential layers would exhaust the stack of a decoder
+  // that recursed without a bound.
+  ByteWriter w;
+  WriteHeader(&w);
+  for (int i = 0; i < 5000; ++i) {
+    w.U32(kTagSequential);
+    w.I64(1);
+  }
+  w.U32(kTagReLU);
+  ASSERT_EQ(w.str().size(), 60070u);
+  std::stringstream in(w.str());
+  auto loaded = DeserializeModel(&in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --------------------------------------------------------------------------
