@@ -27,9 +27,10 @@
 //   automc_cli --serve-list-artifacts            published models + provenance
 //   automc_cli --serve-fetch-model NAME --out F  stream + verify a model
 //
-// --export-model FILE materializes the winning scheme of a local search as
-// a serialized model, byte-identical to the artifact a server publishes for
-// the same spec (the registry's determinism contract; docs/artifacts.md).
+// --export-model FILE writes the winning scheme's model of a local search,
+// the one the search itself built, as a serialized model, byte-identical to
+// the artifact a server publishes for the same spec (the registry's
+// determinism contract; docs/artifacts.md).
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -502,8 +503,6 @@ int main(int argc, char** argv) {
               cli.family.c_str(), cli.depth, task.data.train.name.c_str(),
               cli.gamma, cli.budget, cli.searcher.c_str());
 
-  search::SearchOutcome outcome;
-  std::shared_ptr<nn::Model> base;
   search::SearchSpace space = search::SearchSpace::FullTable1();
 
   // Persistence: the experience store (crash-safe evaluation log, warm-starts
@@ -614,8 +613,8 @@ int main(int argc, char** argv) {
                  result.status().ToString().c_str());
     return 1;
   }
-  outcome = std::move(result->outcome);
-  base = result->base_model;
+  const search::SearchOutcome& outcome = result->outcome;
+  const std::shared_ptr<nn::Model>& base = result->base_model;
 
   if (experience_store != nullptr) {
     std::printf("store: %llu hits, %llu misses, %llu appended\n",
@@ -652,10 +651,10 @@ int main(int argc, char** argv) {
   }
 
   if (!cli.export_model_path.empty()) {
-    // The registry's determinism contract: rebuild the winning scheme's
-    // model exactly as a server job would (PickWinningScheme +
-    // MaterializeScheme on the spec), so these bytes equal the published
-    // "job-<id>" artifact for the same spec.
+    // The registry's determinism contract: the winning scheme's model as a
+    // server job publishes it (core::WinningModel: the search's own snapshot,
+    // rebuilt only when the search never executed the winner), so these
+    // bytes equal the published "job-<id>" artifact for the same spec.
     auto win = core::PickWinningScheme(outcome);
     if (!win.ok()) {
       std::fprintf(stderr, "export failed: %s\n",
@@ -663,7 +662,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::vector<int>& scheme = outcome.pareto_schemes[*win];
-    auto model = core::MaterializeScheme(spec, scheme);
+    auto model = core::WinningModel(spec, task, *result);
     if (!model.ok()) {
       std::fprintf(stderr, "export failed: %s\n",
                    model.status().ToString().c_str());

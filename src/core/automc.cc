@@ -27,6 +27,31 @@ Result<std::unique_ptr<nn::Model>> PretrainModel(const CompressionTask& task) {
   return model;
 }
 
+SearchContext::SearchContext(const CompressionTask& task, uint64_t seed,
+                             bool automc) {
+  Rng sub_rng(seed + 4);
+  search_train =
+      task.search_data_fraction < 1.0
+          ? task.data.train.Subsample(task.search_data_fraction, &sub_rng)
+          : task.data.train;
+  ctx.train = &search_train;
+  ctx.test = &task.data.test;
+  ctx.batch_size = task.batch_size;
+  ctx.seed = seed + 5;
+  if (automc) {
+    // The search subsample is much smaller than the full split; scale the
+    // epoch base so strategies' fine-tuning sees a comparable number of
+    // gradient steps during search and at deployment.
+    ctx.pretrain_epochs = static_cast<int>(std::max(
+        1.0, 0.5 * task.pretrain_epochs /
+                 std::max(0.1, task.search_data_fraction)));
+    ctx.lr = task.FinetuneLr();
+  } else {
+    ctx.pretrain_epochs = task.pretrain_epochs;
+    ctx.lr = task.lr;
+  }
+}
+
 Result<search::EvalPoint> ExecuteScheme(
     const search::SearchSpace& space, const std::vector<int>& scheme,
     nn::Model* model, const compress::CompressionContext& ctx) {
@@ -156,32 +181,15 @@ Result<AutoMCResult> AutoMC::Run(const CompressionTask& task) {
   }
 
   // 3. Search on a subsample of the training data (10% in the paper).
-  Rng sub_rng(options_.seed + 4);
-  data::Dataset search_train =
-      task.search_data_fraction < 1.0
-          ? task.data.train.Subsample(task.search_data_fraction, &sub_rng)
-          : task.data.train;
-
-  compress::CompressionContext ctx;
-  ctx.train = &search_train;
-  ctx.test = &task.data.test;
-  // The search subsample is much smaller than the full split; scale the
-  // epoch base so strategies' fine-tuning sees a comparable number of
-  // gradient steps during search and at deployment.
-  ctx.pretrain_epochs = static_cast<int>(std::max(
-      1.0, 0.5 * task.pretrain_epochs /
-               std::max(0.1, task.search_data_fraction)));
-  ctx.batch_size = task.batch_size;
-  ctx.lr = task.FinetuneLr();
-  ctx.seed = options_.seed + 5;
-
-  search::SchemeEvaluator evaluator(&space, result.base_model.get(), ctx,
+  const SearchContext search_ctx(task, options_.seed, /*automc=*/true);
+  search::SchemeEvaluator evaluator(&space, result.base_model.get(),
+                                    search_ctx.ctx,
                                     search::SchemeEvaluator::Options{});
 
   // 7-dim task descriptor of this run: fed to F_mo and attached to every
   // record this run appends to the store (future runs train NN_exp on them).
   std::vector<float> feats = data::TaskFeatureVector(
-      search_train, result.base_model->ParamCount(),
+      search_ctx.search_train, result.base_model->ParamCount(),
       result.base_model->FlopsPerSample(), evaluator.base_point().acc);
 
   if (options_.experience_store != nullptr) {
@@ -221,13 +229,41 @@ Result<AutoMCResult> AutoMC::Run(const CompressionTask& task) {
   search::SearchConfig scfg = options_.search;
   scfg.seed = options_.seed + 6;
   scfg.checkpointer = options_.checkpointer;
-  AUTOMC_ASSIGN_OR_RETURN(result.outcome,
-                          searcher->Search(&evaluator, space, scfg));
-
-  for (const auto& scheme : result.outcome.pareto_schemes) {
-    result.pareto_descriptions.push_back(space.SchemeToString(scheme));
-  }
+  AUTOMC_RETURN_IF_ERROR(
+      RunSearcher(searcher.get(), &evaluator, space, scfg, &result));
   return result;
+}
+
+Result<size_t> PickWinningScheme(const search::SearchOutcome& outcome) {
+  if (outcome.pareto_points.empty() ||
+      outcome.pareto_points.size() != outcome.pareto_schemes.size()) {
+    return Status::NotFound("search produced no pareto points");
+  }
+  size_t best = 0;
+  for (size_t i = 1; i < outcome.pareto_points.size(); ++i) {
+    const search::EvalPoint& p = outcome.pareto_points[i];
+    const search::EvalPoint& b = outcome.pareto_points[best];
+    if (p.acc > b.acc || (p.acc == b.acc && p.params < b.params)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+Status RunSearcher(search::Searcher* searcher,
+                   search::SchemeEvaluator* evaluator,
+                   const search::SearchSpace& space,
+                   const search::SearchConfig& config, AutoMCResult* result) {
+  AUTOMC_ASSIGN_OR_RETURN(result->outcome,
+                          searcher->Search(evaluator, space, config));
+  for (const auto& scheme : result->outcome.pareto_schemes) {
+    result->pareto_descriptions.push_back(space.SchemeToString(scheme));
+  }
+  if (Result<size_t> win = PickWinningScheme(result->outcome); win.ok()) {
+    result->winner_model =
+        evaluator->CachedModel(result->outcome.pareto_schemes[*win]);
+  }
+  return Status::OK();
 }
 
 }  // namespace core

@@ -50,6 +50,23 @@ struct CompressionTask {
 // Pretrains the task's base model on its full training split.
 Result<std::unique_ptr<nn::Model>> PretrainModel(const CompressionTask& task);
 
+// The data and CompressionContext a search evaluates its schemes under: one
+// recipe for every search path and for rebuilding a scheme's model after the
+// search. The training split is subsampled to task.search_data_fraction
+// (drawn with `seed` + 4) and the context is seeded with `seed` + 5. The
+// AutoMC regime (`automc`) scales the epoch base to the subsample and
+// fine-tunes at task.FinetuneLr(); the baseline searchers use the task's
+// epochs and lr. ctx.train points at search_train and ctx.test into `task`,
+// which must outlive this object.
+struct SearchContext {
+  SearchContext(const CompressionTask& task, uint64_t seed, bool automc);
+  SearchContext(const SearchContext&) = delete;
+  SearchContext& operator=(const SearchContext&) = delete;
+
+  data::Dataset search_train;
+  compress::CompressionContext ctx;
+};
+
 // Applies a scheme (indices into `space`) to `model` in place using the
 // given context; returns the resulting measurement relative to the model's
 // state at entry. Used directly by the transfer study and examples.
@@ -88,7 +105,26 @@ struct AutoMCResult {
   // Pretrained base model (before compression) and its test accuracy.
   std::shared_ptr<nn::Model> base_model;
   double base_accuracy = 0.0;
+  // The winning scheme's compressed model (PickWinningScheme), exactly as the
+  // evaluator measured it: an O(1) copy-on-write clone of its snapshot. Null
+  // when the front is empty or the evaluator holds no snapshot of the winner
+  // (its points came from a store or a restored checkpoint, or it was
+  // evicted); core::WinningModel then rebuilds it.
+  std::shared_ptr<nn::Model> winner_model;
 };
+
+// The pareto point a user would deploy, and the one a finished job
+// publishes: highest accuracy; ties broken by fewer parameters, then by
+// lowest index (all deterministic). kNotFound on an empty front.
+Result<size_t> PickWinningScheme(const search::SearchOutcome& outcome);
+
+// Runs `searcher` against `evaluator` over `space` and fills `result`'s
+// outcome, pareto descriptions and winner_model. The winner costs one clone,
+// never a strategy execution.
+Status RunSearcher(search::Searcher* searcher,
+                   search::SchemeEvaluator* evaluator,
+                   const search::SearchSpace& space,
+                   const search::SearchConfig& config, AutoMCResult* result);
 
 // The AutoMC system: builds the Table 1 search space, learns strategy
 // embeddings from the knowledge graph + measured experience (Algorithm 1),

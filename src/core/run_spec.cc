@@ -1,12 +1,10 @@
 #include "core/run_spec.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "data/dataset.h"
 #include "nn/trainer.h"
 #include "search/evolutionary.h"
@@ -146,21 +144,13 @@ Result<AutoMCResult> RunSearch(const RunSpec& spec,
       nn::Trainer::Evaluate(result.base_model.get(), task.data.test);
 
   search::SearchSpace space = search::SearchSpace::FullTable1();
-  Rng sub_rng(spec.seed + 4);
-  data::Dataset search_train =
-      task.data.train.Subsample(task.search_data_fraction, &sub_rng);
-  compress::CompressionContext ctx;
-  ctx.train = &search_train;
-  ctx.test = &task.data.test;
-  ctx.pretrain_epochs = task.pretrain_epochs;
-  ctx.batch_size = task.batch_size;
-  ctx.lr = task.lr;
-  ctx.seed = spec.seed + 5;
-  search::SchemeEvaluator evaluator(&space, result.base_model.get(), ctx, {});
+  const SearchContext search_ctx(task, spec.seed, /*automc=*/false);
+  search::SchemeEvaluator evaluator(&space, result.base_model.get(),
+                                    search_ctx.ctx, {});
   if (hooks.store != nullptr) {
     AUTOMC_RETURN_IF_ERROR(evaluator.AttachStore(hooks.store));
     hooks.store->set_task_features(data::TaskFeatureVector(
-        search_train, result.base_model->ParamCount(),
+        search_ctx.search_train, result.base_model->ParamCount(),
         result.base_model->FlopsPerSample(), evaluator.base_point().acc));
   }
 
@@ -179,11 +169,8 @@ Result<AutoMCResult> RunSearch(const RunSpec& spec,
   if (spec.eval_batch >= 1) scfg.eval_batch = spec.eval_batch;
   scfg.checkpointer = hooks.checkpointer;
   scfg.stop = hooks.stop;
-  AUTOMC_ASSIGN_OR_RETURN(result.outcome,
-                          searcher->Search(&evaluator, space, scfg));
-  for (const auto& scheme : result.outcome.pareto_schemes) {
-    result.pareto_descriptions.push_back(space.SchemeToString(scheme));
-  }
+  AUTOMC_RETURN_IF_ERROR(
+      RunSearcher(searcher.get(), &evaluator, space, scfg, &result));
   return result;
 }
 
@@ -224,78 +211,52 @@ Result<std::vector<int>> ParseSchemeIndices(const std::string& text) {
   return out;
 }
 
-Result<size_t> PickWinningScheme(const search::SearchOutcome& outcome) {
-  if (outcome.pareto_points.empty() ||
-      outcome.pareto_points.size() != outcome.pareto_schemes.size()) {
-    return Status::NotFound("search produced no pareto points");
-  }
-  size_t best = 0;
-  for (size_t i = 1; i < outcome.pareto_points.size(); ++i) {
-    const search::EvalPoint& p = outcome.pareto_points[i];
-    const search::EvalPoint& b = outcome.pareto_points[best];
-    if (p.acc > b.acc || (p.acc == b.acc && p.params < b.params)) {
-      best = i;
-    }
-  }
-  return best;
-}
+namespace {
 
-Result<std::unique_ptr<nn::Model>> MaterializeScheme(
-    const RunSpec& spec, const std::vector<int>& scheme) {
-  AUTOMC_RETURN_IF_ERROR(ValidateRunSpec(spec));
-  CompressionTask task = MakeTask(spec);
-  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> model,
-                          PretrainModel(task));
-  search::SearchSpace space = search::SearchSpace::FullTable1();
+// `base` (a search's pretrained base model) with `scheme`'s steps applied in
+// that search's context, exactly as its evaluator built the scheme's model.
+Result<std::unique_ptr<nn::Model>> BuildSchemeModel(
+    const RunSpec& spec, const CompressionTask& task, const nn::Model& base,
+    const std::vector<int>& scheme) {
+  const search::SearchSpace space = search::SearchSpace::FullTable1();
   for (int s : scheme) {
     if (s < 0 || static_cast<size_t>(s) >= space.size()) {
       return Status::InvalidArgument("scheme index " + std::to_string(s) +
                                      " outside the strategy table");
     }
   }
-
-  // Rebuild the exact CompressionContext the search used — the automc and
-  // baseline paths differ (RunSearch above vs AutoMC::Run), and matching it
-  // is what makes the materialized bytes equal the measured model.
-  Rng sub_rng(spec.seed + 4);
-  data::Dataset search_train =
-      (spec.searcher == "automc" && task.search_data_fraction >= 1.0)
-          ? task.data.train
-          : task.data.train.Subsample(task.search_data_fraction, &sub_rng);
-  compress::CompressionContext base_ctx;
-  base_ctx.train = &search_train;
-  base_ctx.test = &task.data.test;
-  base_ctx.batch_size = task.batch_size;
-  base_ctx.seed = spec.seed + 5;
-  if (spec.searcher == "automc") {
-    base_ctx.pretrain_epochs = static_cast<int>(std::max(
-        1.0, 0.5 * task.pretrain_epochs /
-                 std::max(0.1, task.search_data_fraction)));
-    base_ctx.lr = task.FinetuneLr();
-  } else {
-    base_ctx.pretrain_epochs = task.pretrain_epochs;
-    base_ctx.lr = task.lr;
-  }
-
+  const SearchContext search_ctx(task, spec.seed,
+                                 /*automc=*/spec.searcher == "automc");
+  std::unique_ptr<nn::Model> model = base.Clone();
   for (size_t i = 0; i < scheme.size(); ++i) {
-    const compress::StrategySpec& sspec =
-        space.strategy(static_cast<size_t>(scheme[i]));
-    AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<compress::Compressor> compressor,
-                            compress::CreateCompressor(sspec));
-    compress::CompressionContext ctx = base_ctx;
-    // The evaluator's per-node seed: a pure function of the scheme prefix.
-    ctx.seed = base_ctx.seed * 1315423911u +
-               static_cast<uint64_t>(scheme[i]) * 2654435761u +
-               static_cast<uint64_t>(i);
-    Status st = compressor->Compress(model.get(), ctx, nullptr);
-    if (st.code() == StatusCode::kFailedPrecondition) {
-      AUTOMC_LOG(Debug) << "strategy " << sspec.ToString()
-                        << " inapplicable during materialization (no-op)";
-    } else if (!st.ok()) {
-      return st;
-    }
+    AUTOMC_RETURN_IF_ERROR(search::ApplySchemeStep(space, scheme[i], i,
+                                                   search_ctx.ctx,
+                                                   model.get()));
   }
   return model;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<nn::Model>> WinningModel(const RunSpec& spec,
+                                                const CompressionTask& task,
+                                                const AutoMCResult& result) {
+  AUTOMC_ASSIGN_OR_RETURN(size_t win, PickWinningScheme(result.outcome));
+  if (result.winner_model != nullptr) return result.winner_model;
+  AUTOMC_ASSIGN_OR_RETURN(
+      std::unique_ptr<nn::Model> model,
+      BuildSchemeModel(spec, task, *result.base_model,
+                       result.outcome.pareto_schemes[win]));
+  return std::shared_ptr<nn::Model>(std::move(model));
+}
+
+Result<std::unique_ptr<nn::Model>> MaterializeScheme(
+    const RunSpec& spec, const std::vector<int>& scheme) {
+  AUTOMC_RETURN_IF_ERROR(ValidateRunSpec(spec));
+  const CompressionTask task = MakeTask(spec);
+  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> base,
+                          PretrainModel(task));
+  return BuildSchemeModel(spec, task, *base, scheme);
 }
 
 }  // namespace core

@@ -83,18 +83,23 @@ Result<AutoMCResult> RunSearch(const RunSpec& spec,
 std::string SchemeIndicesToString(const std::vector<int>& scheme);
 Result<std::vector<int>> ParseSchemeIndices(const std::string& text);
 
-// The artifact the registry publishes for a finished job: the pareto point
-// a user would deploy. Highest accuracy; ties broken by fewer parameters,
-// then by lowest index (all deterministic). kNotFound on an empty front.
-Result<size_t> PickWinningScheme(const search::SearchOutcome& outcome);
+// The model a finished job publishes: the winning scheme's model
+// (PickWinningScheme) of `result`, a finished RunSearch(spec, task). That is
+// result.winner_model when the search still held it; otherwise it is rebuilt
+// from result.base_model by applying the scheme's steps in the search's
+// context (SearchContext) with the evaluator's per-node seeds
+// (search::ApplySchemeStep). Either way it is bit-identical to the model the
+// evaluator measured for the scheme. kNotFound on an empty front.
+Result<std::shared_ptr<nn::Model>> WinningModel(const RunSpec& spec,
+                                                const CompressionTask& task,
+                                                const AutoMCResult& result);
 
-// Rebuilds the compressed model a finished search described, bit-identically
-// to the model the evaluator measured for that scheme: same pretrain, same
-// search subsample, same CompressionContext the RunSearch paths build, and
-// the evaluator's per-node seed derivation. An inapplicable strategy
-// (kFailedPrecondition) is the same no-op it was during search. This is the
-// determinism contract extended to bytes: serialize(MaterializeScheme(...))
-// equals the bytes the server publishes for that job.
+// Rebuilds the compressed model of `scheme` in a search of `spec` from
+// scratch: MakeTask, PretrainModel, then the same step routine WinningModel
+// rebuilds with. An inapplicable strategy (kFailedPrecondition) is the same
+// no-op it was during search. This is the determinism contract extended to
+// bytes: serialize(MaterializeScheme(spec, winner)) equals the bytes a
+// server publishes for that job and `automc_cli --export-model` writes.
 Result<std::unique_ptr<nn::Model>> MaterializeScheme(
     const RunSpec& spec, const std::vector<int>& scheme);
 

@@ -1,6 +1,7 @@
 #include "nn/serialize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -126,6 +127,19 @@ Result<tensor::Tensor> ReadTensor(std::istream* in) {
     if (!in->good()) return Status::OutOfRange("truncated stream (tensor)");
   }
   return t;
+}
+
+// Whether `numel` is the product of `dims`, all positive, with the product
+// computed without overflow. Layer headers are checked this way against the
+// parameter tensors read before them, so a layer is never built, and never
+// allocates, from a header the stream's bytes do not back.
+bool ProductIs(std::initializer_list<int64_t> dims, int64_t numel) {
+  int64_t product = 1;
+  for (int64_t d : dims) {
+    if (d <= 0 || product > numel / d) return false;
+    product *= d;
+  }
+  return product == numel;
 }
 
 // ---- layer tree ------------------------------------------------------------
@@ -278,46 +292,54 @@ Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in, int depth) {
       AUTOMC_ASSIGN_OR_RETURN(int64_t stride, ReadI64(in));
       AUTOMC_ASSIGN_OR_RETURN(int64_t pad, ReadI64(in));
       AUTOMC_ASSIGN_OR_RETURN(uint32_t has_bias, ReadU32(in));
-      // nullptr rng: skip weight init, the stream overwrites it below.
+      AUTOMC_ASSIGN_OR_RETURN(tensor::Tensor w, ReadTensor(in));
+      tensor::Tensor b;
+      if (has_bias != 0) {
+        AUTOMC_ASSIGN_OR_RETURN(b, ReadTensor(in));
+      }
+      // Every zoo and compressed conv pads less than its kernel; more padding
+      // would only grow the output map from zeros.
+      if (!ProductIs({out_c, in_c, kernel, kernel}, w.numel()) ||
+          stride <= 0 || pad < 0 || pad >= kernel) {
+        return Status::InvalidArgument("implausible conv header");
+      }
+      if (has_bias != 0 && b.numel() != out_c) {
+        return Status::InvalidArgument("conv bias size mismatch");
+      }
+      // nullptr rng: skip weight init, the stream's tensors replace it.
       auto conv = std::make_unique<Conv2d>(in_c, out_c, kernel, stride, pad,
                                            has_bias != 0, nullptr);
-      AUTOMC_ASSIGN_OR_RETURN(tensor::Tensor w, ReadTensor(in));
-      if (w.numel() != conv->weight().value.numel()) {
-        return Status::InvalidArgument("conv weight size mismatch");
-      }
       conv->weight().value = w.Reshaped(conv->weight().value.shape());
-      if (has_bias != 0) {
-        AUTOMC_ASSIGN_OR_RETURN(tensor::Tensor b, ReadTensor(in));
-        if (b.numel() != out_c) {
-          return Status::InvalidArgument("conv bias size mismatch");
-        }
-        conv->bias().value = b.Reshaped({out_c});
-      }
+      if (has_bias != 0) conv->bias().value = b.Reshaped({out_c});
       return std::unique_ptr<Layer>(std::move(conv));
     }
     case kTagLinear: {
       AUTOMC_ASSIGN_OR_RETURN(int64_t in_f, ReadI64(in));
       AUTOMC_ASSIGN_OR_RETURN(int64_t out_f, ReadI64(in));
-      auto lin = std::make_unique<Linear>(in_f, out_f, nullptr);
       AUTOMC_ASSIGN_OR_RETURN(tensor::Tensor w, ReadTensor(in));
       AUTOMC_ASSIGN_OR_RETURN(tensor::Tensor b, ReadTensor(in));
-      if (w.numel() != in_f * out_f || b.numel() != out_f) {
+      if (!ProductIs({out_f, in_f}, w.numel()) || b.numel() != out_f) {
         return Status::InvalidArgument("linear size mismatch");
       }
+      auto lin = std::make_unique<Linear>(in_f, out_f, nullptr);
       lin->weight().value = w.Reshaped({out_f, in_f});
       lin->bias().value = b.Reshaped({out_f});
       return std::unique_ptr<Layer>(std::move(lin));
     }
     case kTagBatchNorm: {
       AUTOMC_ASSIGN_OR_RETURN(int64_t channels, ReadI64(in));
-      auto bn = std::make_unique<BatchNorm2d>(channels);
-      AUTOMC_ASSIGN_OR_RETURN(bn->gamma().value, ReadTensor(in));
-      AUTOMC_ASSIGN_OR_RETURN(bn->beta().value, ReadTensor(in));
-      AUTOMC_ASSIGN_OR_RETURN(bn->running_mean(), ReadTensor(in));
-      AUTOMC_ASSIGN_OR_RETURN(bn->running_var(), ReadTensor(in));
-      if (bn->gamma().value.numel() != channels) {
-        return Status::InvalidArgument("batchnorm size mismatch");
+      tensor::Tensor params[4];  // gamma, beta, running mean, running var
+      for (tensor::Tensor& t : params) {
+        AUTOMC_ASSIGN_OR_RETURN(t, ReadTensor(in));
+        if (!ProductIs({channels}, t.numel())) {
+          return Status::InvalidArgument("batchnorm size mismatch");
+        }
       }
+      auto bn = std::make_unique<BatchNorm2d>(channels);
+      bn->gamma().value = std::move(params[0]);
+      bn->beta().value = std::move(params[1]);
+      bn->running_mean() = std::move(params[2]);
+      bn->running_var() = std::move(params[3]);
       return std::unique_ptr<Layer>(std::move(bn));
     }
     case kTagReLU:
@@ -325,14 +347,16 @@ Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in, int depth) {
     case kTagLma: {
       AUTOMC_ASSIGN_OR_RETURN(int64_t segments, ReadI64(in));
       AUTOMC_ASSIGN_OR_RETURN(float bound, ReadF32(in));
-      if (segments < 2 || segments > 1024 || bound <= 0) {
+      if (segments < 2 || segments > 1024 || !(bound > 0) ||
+          !std::isfinite(bound)) {
         return Status::InvalidArgument("implausible LMA parameters");
       }
       auto lma = std::make_unique<LMAActivation>(segments, bound);
       AUTOMC_ASSIGN_OR_RETURN(lma->slopes().value, ReadTensor(in));
       AUTOMC_ASSIGN_OR_RETURN(lma->offset().value, ReadTensor(in));
-      if (lma->slopes().value.numel() != segments) {
-        return Status::InvalidArgument("LMA slopes size mismatch");
+      if (lma->slopes().value.numel() != segments ||
+          lma->offset().value.numel() != 1) {
+        return Status::InvalidArgument("LMA parameter size mismatch");
       }
       return std::unique_ptr<Layer>(std::move(lma));
     }
@@ -384,6 +408,9 @@ Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in, int depth) {
       AUTOMC_ASSIGN_OR_RETURN(int64_t in_c, ReadI64(in));
       AUTOMC_ASSIGN_OR_RETURN(int64_t out_c, ReadI64(in));
       AUTOMC_ASSIGN_OR_RETURN(int64_t stride, ReadI64(in));
+      if (kind_u > 1) {
+        return Status::InvalidArgument("unknown residual block kind");
+      }
       auto kind = kind_u == 0 ? ResidualBlock::Kind::kBasic
                               : ResidualBlock::Kind::kBottleneck;
       auto block = ResidualBlock::MakeShell(kind, in_c, out_c, stride);
@@ -419,6 +446,19 @@ Result<std::unique_ptr<Layer>> ReadLayer(std::istream* in, int depth) {
           std::unique_ptr<BatchNorm2d> ds_bn,
           CastLayer<BatchNorm2d>(optional(), "BatchNorm2d"));
       block->set_downsample(std::move(ds_conv), std::move(ds_bn));
+      // Forward runs every member of the block's kind unconditionally, and
+      // the shortcut's conv and batchnorm as a pair.
+      const bool bottleneck = kind == ResidualBlock::Kind::kBottleneck;
+      if (block->conv1() == nullptr || block->bn1() == nullptr ||
+          block->act1() == nullptr || block->conv2() == nullptr ||
+          block->bn2() == nullptr || block->act_out() == nullptr ||
+          (bottleneck && (block->act2() == nullptr ||
+                          block->conv3() == nullptr ||
+                          block->bn3() == nullptr)) ||
+          (block->downsample_conv() == nullptr) !=
+              (block->downsample_bn() == nullptr)) {
+        return Status::InvalidArgument("residual block lacks a member");
+      }
       return std::unique_ptr<Layer>(std::move(block));
     }
     default:

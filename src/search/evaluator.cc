@@ -91,16 +91,47 @@ uint64_t SchemeEvaluator::ModelFingerprint(nn::Model* model) {
   return h;
 }
 
+uint64_t SchemeEvaluator::ContextFingerprint(
+    const compress::CompressionContext& ctx) {
+  ByteWriter w;
+  w.I32(ctx.pretrain_epochs);
+  w.I32(ctx.batch_size);
+  w.F32(ctx.lr);
+  w.U64(ctx.seed);
+  for (const data::Dataset* split : {ctx.train, ctx.test}) {
+    w.I64(split != nullptr ? split->images.numel() : -1);
+    w.I64(split != nullptr ? static_cast<int64_t>(split->labels.size()) : -1);
+  }
+  uint64_t h = store::Fnv1a(w.str().data(), w.str().size());
+  for (const data::Dataset* split : {ctx.train, ctx.test}) {
+    if (split == nullptr) continue;
+    h = store::Fnv1a(split->images.data(),
+                     static_cast<size_t>(split->images.numel()) * sizeof(float),
+                     h);
+    h = store::Fnv1a(split->labels.data(), split->labels.size() * sizeof(int),
+                     h);
+  }
+  return h;
+}
+
 Status SchemeEvaluator::AttachStore(store::ExperienceStore* experience_store) {
   AUTOMC_CHECK(experience_store != nullptr);
   store::Fingerprint fp;
   fp.space = SpaceFingerprint(*space_);
-  fp.model = ModelFingerprint(base_model_);
+  const uint64_t context = ContextFingerprint(ctx_);
+  fp.model = store::Fnv1a(&context, sizeof(context),
+                          ModelFingerprint(base_model_));
   experience_store->Bind(fp);
   store_ = experience_store;
   // Persist the base point so every depth-1 record has a parent in the log
   // (ExportSteps derives AR/PR steps relative to the parent record).
   return PersistPoint({}, base_point_);
+}
+
+std::unique_ptr<nn::Model> SchemeEvaluator::CachedModel(
+    const std::vector<int>& scheme) const {
+  auto it = cache_.find(Key(scheme));
+  return it != cache_.end() ? it->second.model->Clone() : nullptr;
 }
 
 EvalPoint SchemeEvaluator::MeasureModel(nn::Model* model) const {
@@ -282,31 +313,12 @@ Result<EvalPoint> SchemeEvaluator::EvaluateInternal(
     }
     if (snode != nullptr) {
       // A worker already ran this strategy speculatively. Node models are
-      // pure functions of the scheme prefix (per-node seeding below), so
-      // adopting the snapshot is bit-identical to re-running the compressor.
+      // pure functions of the scheme prefix (per-node seeding), so adopting
+      // the snapshot is bit-identical to re-running the compressor.
       model = std::move(snode->model);
     } else {
-      const compress::StrategySpec& sspec = space_->strategy(
-          static_cast<size_t>(scheme[static_cast<size_t>(i)]));
-      AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<compress::Compressor> compressor,
-                              compress::CreateCompressor(sspec));
-      compress::CompressionContext ctx = ctx_;
-      // Per-node deterministic seed: same scheme prefix -> same result.
-      ctx.seed = ctx_.seed * 1315423911u +
-                 static_cast<uint64_t>(scheme[static_cast<size_t>(i)]) * 2654435761u +
-                 static_cast<uint64_t>(i);
-      Status st = compressor->Compress(model.get(), ctx, nullptr);
-      if (st.code() == StatusCode::kFailedPrecondition) {
-        // The strategy is inapplicable to this model state (e.g. pruning
-        // after every conv was decomposed and re-decomposition hit its
-        // floor). The scheme is still well-defined: the step is a no-op,
-        // which the search naturally deprioritizes because it brings no
-        // improvement.
-        AUTOMC_LOG(Debug) << "strategy " << sspec.ToString()
-                          << " inapplicable: " << st.ToString();
-      } else if (!st.ok()) {
-        return st;
-      }
+      AUTOMC_RETURN_IF_ERROR(
+          ApplySchemeStep(*space_, scheme[i], i, ctx_, model.get()));
     }
     ++strategy_executions_;
     AUTOMC_METRIC_COUNT("search.strategy_executions");
@@ -373,21 +385,10 @@ void SchemeEvaluator::SpeculateChain(
       if (failed.find(pk) != failed.end()) break;
       if (model == nullptr) model = base->Clone();
       const int strategy = scheme[len - 1];
-      Status st;
-      auto compressor =
-          compress::CreateCompressor(space_->strategy(static_cast<size_t>(strategy)));
-      if (compressor.ok()) {
-        compress::CompressionContext ctx = ctx_;
-        // Same per-node seed as the serial path: the node's model is a pure
-        // function of the scheme prefix, so the commit can adopt it.
-        ctx.seed = ctx_.seed * 1315423911u +
-                   static_cast<uint64_t>(strategy) * 2654435761u +
-                   static_cast<uint64_t>(len - 1);
-        st = (*compressor)->Compress(model.get(), ctx, nullptr);
-      } else {
-        st = compressor.status();
-      }
-      if (!st.ok() && st.code() != StatusCode::kFailedPrecondition) {
+      // The serial path's step: the node's model is a pure function of the
+      // scheme prefix, so the commit can adopt it.
+      if (!ApplySchemeStep(*space_, strategy, len - 1, ctx_, model.get())
+               .ok()) {
         // Record nothing for this node: the commit phase re-executes it
         // serially and surfaces the error at the right scheme index.
         failed.emplace(pk);
@@ -581,6 +582,28 @@ Status SchemeEvaluator::RestoreState(std::string_view blob) {
   points_ = std::move(points);
   charged_executions_ = charged;
   return Status::OK();
+}
+
+Status ApplySchemeStep(const SearchSpace& space, int strategy, size_t depth,
+                       const compress::CompressionContext& ctx,
+                       nn::Model* model) {
+  const compress::StrategySpec& sspec =
+      space.strategy(static_cast<size_t>(strategy));
+  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<compress::Compressor> compressor,
+                          compress::CreateCompressor(sspec));
+  compress::CompressionContext node_ctx = ctx;
+  node_ctx.seed = ctx.seed * 1315423911u +
+                  static_cast<uint64_t>(strategy) * 2654435761u +
+                  static_cast<uint64_t>(depth);
+  Status st = compressor->Compress(model, node_ctx, nullptr);
+  if (st.code() == StatusCode::kFailedPrecondition) {
+    // The scheme stays well-defined: the step is a no-op, which the search
+    // naturally deprioritizes because it brings no improvement.
+    AUTOMC_LOG(Debug) << "strategy " << sspec.ToString()
+                      << " inapplicable: " << st.ToString();
+    return Status::OK();
+  }
+  return st;
 }
 
 }  // namespace search

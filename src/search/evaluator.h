@@ -105,19 +105,30 @@ class SchemeEvaluator {
                                   int64_t charged_limit = -1);
 
   // Connects a persistent evaluation cache. Binds the store to this
-  // evaluator's (search space, base model) fingerprint — records written
-  // under a different space or model can never be served here — and appends
-  // the base-model record so depth-1 store records have a parent. After
-  // attachment, Evaluate consults the store before executing strategies and
-  // appends every fresh measurement.
+  // evaluator's search space, and to its base model together with its
+  // compression context — records written under a different space, model or
+  // context can never be served here — and appends the base-model record so
+  // depth-1 store records have a parent. After attachment, Evaluate consults
+  // the store before executing strategies and appends every fresh
+  // measurement.
   Status AttachStore(store::ExperienceStore* experience_store);
   store::ExperienceStore* experience_store() const { return store_; }
 
   // Content fingerprints used to key store records. Space covers every
   // strategy's rendered spec; model covers the architecture spec, weight
-  // precision, and the raw bytes of every pretrained parameter.
+  // precision, and the raw bytes of every pretrained parameter; context
+  // covers what else a measurement depends on: the lr, epoch base, batch
+  // size and seed, and the bytes of the training and test splits. The
+  // store's model key is the model fingerprint folded with the context's.
   static uint64_t SpaceFingerprint(const SearchSpace& space);
   static uint64_t ModelFingerprint(nn::Model* model);
+  static uint64_t ContextFingerprint(const compress::CompressionContext& ctx);
+
+  // The model snapshot of `scheme` when the cache still holds it, as an O(1)
+  // copy-on-write clone; null when this run never executed the scheme (its
+  // points came from a store or a restored checkpoint) or its snapshot was
+  // evicted. Reads only: the LRU clock and CacheDigest do not move.
+  std::unique_ptr<nn::Model> CachedModel(const std::vector<int>& scheme) const;
 
   // Checkpoint support: the point index + charged-execution count, i.e.
   // everything a resumed process needs to replay the remaining search with
@@ -208,6 +219,17 @@ class SchemeEvaluator {
   int64_t store_hits_ = 0;
   int64_t clock_ = 0;
 };
+
+// Executes step `depth` (0-based) of a scheme, strategy `strategy` of
+// `space`, on `model` in place, exactly as the evaluator does: under `ctx`
+// with its seed replaced by the per-node seed, a function of (ctx.seed,
+// strategy, depth) alone, so every scheme node's model is a pure function of
+// its prefix. A strategy inapplicable to the model's state
+// (kFailedPrecondition, e.g. pruning after re-decomposition hit its floor)
+// is a no-op.
+Status ApplySchemeStep(const SearchSpace& space, int strategy, size_t depth,
+                       const compress::CompressionContext& ctx,
+                       nn::Model* model);
 
 }  // namespace search
 }  // namespace automc

@@ -12,6 +12,7 @@
 #include "common/durable.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "nn/serialize.h"
 #include "search/report.h"
 #include "store/experience_index.h"
@@ -167,6 +168,7 @@ Status JobManager::Recover() {
       // QUEUED and RUNNING both re-enter the queue; a RUNNING job resumes
       // from its checkpoint inside RunJob.
       job->state = JobState::kQueued;
+      job->queued_at = std::chrono::steady_clock::now();
       AUTOMC_RETURN_IF_ERROR(PersistState(*job));
       recovered.push_back(id);
       AUTOMC_METRIC_COUNT("server.jobs_recovered");
@@ -236,6 +238,7 @@ Result<uint64_t> JobManager::SubmitInternal(uint64_t want_id,
                                                   kSpecMagic, w.str()));
   AUTOMC_RETURN_IF_ERROR(PersistState(*job));
 
+  job->queued_at = std::chrono::steady_clock::now();
   jobs_[id] = std::move(job);
   queue_.Push(tenant, id);
   AUTOMC_METRIC_GAUGE("server.queue_tenants",
@@ -322,6 +325,11 @@ void JobManager::WorkerLoop() {
       uint64_t id = 0;
       if (!queue_.PopNext(&id)) continue;
       job = jobs_[id].get();
+      AUTOMC_METRIC_OBSERVE(
+          "job.queue_wait_ms",
+          (std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - job->queued_at)
+               .count()));
       job->state = JobState::kRunning;
       ++active_;
       (void)PersistState(*job);
@@ -384,71 +392,14 @@ void JobManager::RunJob(Job* job) {
     }
   }
 
-  Result<core::AutoMCResult> result = core::RunSearch(job->spec, hooks);
-
-  // Publish this job's evaluations into the shared tier before marking it
-  // DONE — best effort; the job's own result never depends on it.
-  if (result.ok() && !options_.shared_dir.empty()) {
-    std::vector<std::pair<store::Fingerprint, store::EvalRecord>> recs;
-    recs.reserve((*store)->records().size());
-    for (const auto& [fp, rec] : (*store)->records()) {
-      recs.emplace_back(fp, *rec);
-    }
-    if (automc::Status st = store::PublishExperience(
-            options_.shared_dir, options_.shared_segment, recs);
-        !st.ok()) {
-      AUTOMC_LOG(Warning) << "experience publish failed: " << st.ToString();
-    }
-  }
-
-  // Publish the winning pareto model into the artifact registry before the
-  // DONE transition — a client that observes DONE may immediately fetch
-  // "job-<id>". Best effort like the experience publish: a failure costs
-  // the artifact, never the job. The bytes come from MaterializeScheme, so
-  // they are bit-identical to the model the evaluator measured (and to a
-  // direct `automc_cli --export-model` of the same spec + scheme).
-  if (result.ok() && registry_ != nullptr) {
-    do {
-      Result<size_t> win = core::PickWinningScheme(result->outcome);
-      if (!win.ok()) break;  // empty front: nothing to deploy
-      const std::vector<int>& scheme = result->outcome.pareto_schemes[*win];
-      Result<std::unique_ptr<nn::Model>> model =
-          core::MaterializeScheme(job->spec, scheme);
-      if (!model.ok()) {
-        AUTOMC_LOG(Warning) << "job " << job->id << ": cannot materialize "
-                            << "winning scheme: "
-                            << model.status().ToString();
-        break;
-      }
-      std::ostringstream blob;
-      if (automc::Status st = nn::SerializeModel(model->get(), &blob);
-          !st.ok()) {
-        AUTOMC_LOG(Warning) << "job " << job->id << ": cannot serialize "
-                            << "winning model: " << st.ToString();
-        break;
-      }
-      artifact::Provenance prov;
-      prov.job_id = job->id;
-      prov.scheme = core::SchemeIndicesToString(scheme);
-      prov.summary = core::RunSpecSummary(job->spec);
-      const search::EvalPoint& point = result->outcome.pareto_points[*win];
-      prov.acc = point.acc;
-      prov.params = point.params;
-      prov.flops = point.flops;
-      const std::string name = "job-" + std::to_string(job->id);
-      Result<artifact::Manifest> pub =
-          registry_->Publish(name, blob.str(), prov);
-      if (!pub.ok()) {
-        AUTOMC_LOG(Warning) << "job " << job->id << ": artifact publish "
-                            << "failed: " << pub.status().ToString();
-      } else {
-        AUTOMC_METRIC_COUNT("server.models_published");
-        AUTOMC_LOG(Info) << "job " << job->id << ": published artifact '"
-                         << name << "' (" << pub->total_size << " bytes, "
-                         << pub->chunks.size() << " chunks)";
-      }
-    } while (false);
-  }
+  const core::CompressionTask task = core::MakeTask(job->spec);
+  Result<core::AutoMCResult> result = [&] {
+    AUTOMC_SCOPED_TIMER("job.run_ms");
+    return core::RunSearch(job->spec, task, hooks);
+  }();
+  // Before the DONE transition: a client that observes DONE may immediately
+  // fetch "job-<id>".
+  if (result.ok()) PublishResults(*job, task, *result, **store);
 
   std::unique_lock<std::mutex> lock(mu_);
   if (result.ok()) {
@@ -489,6 +440,64 @@ void JobManager::RunJob(Job* job) {
   job->error = result.status().message();
   (void)PersistState(*job);
   AUTOMC_METRIC_COUNT("server.jobs_failed");
+}
+
+void JobManager::PublishResults(const Job& job,
+                                const core::CompressionTask& task,
+                                const core::AutoMCResult& result,
+                                const store::ExperienceStore& store) {
+  AUTOMC_SCOPED_TIMER("job.publish_ms");
+  if (!options_.shared_dir.empty()) {
+    std::vector<std::pair<store::Fingerprint, store::EvalRecord>> recs;
+    recs.reserve(store.records().size());
+    for (const auto& [fp, rec] : store.records()) recs.emplace_back(fp, *rec);
+    if (automc::Status st = store::PublishExperience(
+            options_.shared_dir, options_.shared_segment, recs);
+        !st.ok()) {
+      AUTOMC_LOG(Warning) << "experience publish failed: " << st.ToString();
+    }
+  }
+
+  if (registry_ == nullptr) return;
+  Result<size_t> win = core::PickWinningScheme(result.outcome);
+  if (!win.ok()) return;  // empty front: nothing to deploy
+  // The evaluator's own snapshot of the winner; only a winner this job never
+  // executed (a repeat served from the shared tier) is rebuilt, from this
+  // job's base model. The bytes equal MaterializeScheme of the same spec and
+  // scheme, and a direct `automc_cli --export-model`.
+  Result<std::shared_ptr<nn::Model>> model =
+      core::WinningModel(job.spec, task, result);
+  if (!model.ok()) {
+    AUTOMC_LOG(Warning) << "job " << job.id << ": cannot build winning model: "
+                        << model.status().ToString();
+    return;
+  }
+  std::ostringstream blob;
+  if (automc::Status st = nn::SerializeModel(model->get(), &blob); !st.ok()) {
+    AUTOMC_LOG(Warning) << "job " << job.id << ": cannot serialize "
+                        << "winning model: " << st.ToString();
+    return;
+  }
+  const std::vector<int>& scheme = result.outcome.pareto_schemes[*win];
+  const search::EvalPoint& point = result.outcome.pareto_points[*win];
+  artifact::Provenance prov;
+  prov.job_id = job.id;
+  prov.scheme = core::SchemeIndicesToString(scheme);
+  prov.summary = core::RunSpecSummary(job.spec);
+  prov.acc = point.acc;
+  prov.params = point.params;
+  prov.flops = point.flops;
+  const std::string name = "job-" + std::to_string(job.id);
+  Result<artifact::Manifest> pub = registry_->Publish(name, blob.str(), prov);
+  if (!pub.ok()) {
+    AUTOMC_LOG(Warning) << "job " << job.id << ": artifact publish failed: "
+                        << pub.status().ToString();
+    return;
+  }
+  AUTOMC_METRIC_COUNT("server.models_published");
+  AUTOMC_LOG(Info) << "job " << job.id << ": published artifact '" << name
+                   << "' (" << pub->total_size << " bytes, "
+                   << pub->chunks.size() << " chunks)";
 }
 
 bool JobManager::WaitIdle(double timeout_seconds) const {

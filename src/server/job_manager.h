@@ -1,6 +1,7 @@
 #ifndef AUTOMC_SERVER_JOB_MANAGER_H_
 #define AUTOMC_SERVER_JOB_MANAGER_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -115,7 +116,7 @@ class JobManager {
     // Segment file this process appends to (one appender per segment).
     std::string shared_segment = "seg-0.bin";
     // Model artifact registry root (docs/artifacts.md). Every finished
-    // job's winning pareto model is materialized, serialized, and
+    // job's winning pareto model (core::WinningModel) is serialized and
     // published here as "job-<id>" (best effort — a publish failure never
     // fails the job). Empty reads $AUTOMC_ARTIFACT_DIR, else defaults to
     // <workdir>/artifacts. Fleet workers all point at the coordinator's
@@ -184,6 +185,8 @@ class JobManager {
     int32_t executions = -1;
     search::StopToken stop;
     bool cancel_requested = false;
+    // When the job last entered the queue (job.queue_wait_ms).
+    std::chrono::steady_clock::time_point queued_at;
   };
 
   explicit JobManager(Options options);
@@ -194,6 +197,12 @@ class JobManager {
   void WorkerLoop();
   // Runs one job end to end; returns the final state transition.
   void RunJob(Job* job);
+  // Publishes a finished job's evaluations to the shared experience tier and
+  // its winning model to the artifact registry. Best effort: a failure costs
+  // the shared records or the artifact, never the job.
+  void PublishResults(const Job& job, const core::CompressionTask& task,
+                      const core::AutoMCResult& result,
+                      const store::ExperienceStore& store);
   std::string JobDir(uint64_t id) const;
   Status PersistState(const Job& job) const;
   JobInfo InfoOf(const Job& job) const;

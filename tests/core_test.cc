@@ -1,7 +1,11 @@
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "core/automc.h"
+#include "core/run_spec.h"
 #include "gtest/gtest.h"
+#include "nn/serialize.h"
 #include "nn/trainer.h"
 
 namespace automc {
@@ -102,6 +106,48 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AblationCase>& info) {
       return info.param.name;
     });
+
+std::string Serialized(nn::Model* model) {
+  std::ostringstream out;
+  EXPECT_TRUE(nn::SerializeModel(model, &out).ok());
+  return out.str();
+}
+
+// RunSearch hands back the winning scheme's model its evaluator built, on
+// the AutoMC path as on a baseline one, and it serializes to
+// MaterializeScheme's bytes. A result without that snapshot gets the same
+// bytes from WinningModel, rebuilt from the run's own base model.
+TEST(RunSearchTest, WinnerModelIsTheMaterializedScheme) {
+  for (const char* searcher : {"automc", "evolution"}) {
+    SCOPED_TRACE(searcher);
+    RunSpec spec;
+    spec.family = "vgg";
+    spec.depth = 13;
+    spec.dataset = "tiny";
+    spec.searcher = searcher;
+    spec.budget = 4;
+    spec.pretrain = 1;
+    spec.eval_batch = 2;
+    spec.seed = 5;
+    const CompressionTask task = MakeTask(spec);
+    auto result = RunSearch(spec, task);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_NE(result->winner_model, nullptr);
+    auto win = PickWinningScheme(result->outcome);
+    ASSERT_TRUE(win.ok()) << win.status().ToString();
+    const std::vector<int>& scheme = result->outcome.pareto_schemes[*win];
+    EXPECT_FALSE(scheme.empty());
+    auto want = MaterializeScheme(spec, scheme);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(Serialized(result->winner_model.get()), Serialized(want->get()));
+
+    AutoMCResult without_snapshot = *result;
+    without_snapshot.winner_model = nullptr;
+    auto rebuilt = WinningModel(spec, task, without_snapshot);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ(Serialized(rebuilt->get()), Serialized(want->get()));
+  }
+}
 
 TEST(ExecuteSchemeTest, TransfersSchemeToAnotherModel) {
   CompressionTask task = TinyTask();

@@ -23,6 +23,7 @@ namespace {
 using store::EvalRecord;
 using store::ExperienceIndex;
 using store::Fingerprint;
+using testing::CompressorInvocations;
 using testing::ScopedTempDir;
 
 Fingerprint FP(uint64_t space, uint64_t model) {
@@ -257,7 +258,9 @@ TEST(ExperienceIndexTest, ReadersNeverBlockDuringPublish) {
 // The payoff the tier exists for: worker B reruns a spec worker A already
 // solved. Every evaluation is served from the shared index (zero real
 // strategy executions) and the outcome is byte-identical — warm never
-// changes results, it only removes work.
+// changes results, it only removes work. Worker B never executed the
+// winner, so it rebuilds the published model from its own base model, one
+// compressor run per step, into worker A's bytes.
 TEST(ExperienceIndexTest, CrossWorkerWarmRerunChargesZeroExecutions) {
   ScopedTempDir dir("amxi_warm");
   core::RunSpec spec;
@@ -270,12 +273,15 @@ TEST(ExperienceIndexTest, CrossWorkerWarmRerunChargesZeroExecutions) {
   spec.eval_batch = 2;
   spec.seed = 77;
 
+  // The job's outcome bytes and its published model bytes.
   auto run_on_worker = [&](const std::string& workdir,
-                           const std::string& segment) -> std::string {
+                           const std::string& segment)
+      -> std::pair<std::string, std::string> {
     server::JobManager::Options jopts;
     jopts.workdir = dir.File(workdir);
     jopts.shared_dir = dir.File("experience");
     jopts.shared_segment = segment;
+    jopts.artifact_dir = dir.File(workdir + "-artifacts");
     auto mgr = server::JobManager::Open(jopts);
     EXPECT_TRUE(mgr.ok()) << mgr.status().ToString();
     auto id = (*mgr)->Submit(spec);
@@ -283,16 +289,21 @@ TEST(ExperienceIndexTest, CrossWorkerWarmRerunChargesZeroExecutions) {
     EXPECT_TRUE((*mgr)->WaitIdle(/*timeout_seconds=*/120.0));
     auto bytes = (*mgr)->OutcomeBytes(*id);
     EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
-    return bytes.ok() ? *bytes : std::string();
+    auto model = (*mgr)->registry()->FetchBlob("job-" + std::to_string(*id));
+    EXPECT_TRUE(model.ok()) << model.status().ToString();
+    return {bytes.ok() ? *bytes : std::string(),
+            model.ok() ? *model : std::string()};
   };
 
-  const std::string cold = run_on_worker("worker-1", "seg-1.bin");
+  const auto [cold, cold_model] = run_on_worker("worker-1", "seg-1.bin");
   ASSERT_FALSE(cold.empty());
+  ASSERT_FALSE(cold_model.empty());
 
   // Worker B: different job dir, different segment, same shared tier.
   const int64_t execs_before = CounterValue("search.strategy_executions");
   const int64_t shared_before = CounterValue("store.shared_hits");
-  const std::string warm = run_on_worker("worker-2", "seg-2.bin");
+  const int64_t invocations_before = CompressorInvocations();
+  const auto [warm, warm_model] = run_on_worker("worker-2", "seg-2.bin");
   ASSERT_FALSE(warm.empty());
 
   EXPECT_EQ(warm, cold)
@@ -306,6 +317,15 @@ TEST(ExperienceIndexTest, CrossWorkerWarmRerunChargesZeroExecutions) {
   auto outcome = search::LoadOutcomeBytes(warm);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->executions, 4);
+
+  auto win = core::PickWinningScheme(*outcome);
+  ASSERT_TRUE(win.ok()) << win.status().ToString();
+  const std::vector<int>& scheme = outcome->pareto_schemes[*win];
+  ASSERT_FALSE(scheme.empty());
+  EXPECT_EQ(CompressorInvocations() - invocations_before,
+            static_cast<int64_t>(scheme.size()));
+  EXPECT_EQ(warm_model, cold_model)
+      << "the rebuilt winner differs from the model the cold run measured";
 }
 
 }  // namespace

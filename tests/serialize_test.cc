@@ -1,4 +1,8 @@
+#include <functional>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "compress/lowrank_apply.h"
@@ -189,8 +193,13 @@ TEST(SerializeTest, MissingFileIsNotFound) {
 // Layer tags of the model format (src/nn/serialize.cc), spelled out so the
 // hostile files below are byte-exact.
 constexpr uint32_t kTagConv2d = 1;
+constexpr uint32_t kTagLinear = 2;
+constexpr uint32_t kTagBatchNorm = 3;
 constexpr uint32_t kTagReLU = 4;
+constexpr uint32_t kTagLma = 5;
 constexpr uint32_t kTagSequential = 9;
+constexpr uint32_t kTagResidualBlock = 10;
+constexpr uint32_t kTagAbsent = 0xffff;
 
 // Magic, version and ModelSpec: everything before the root layer.
 void WriteHeader(ByteWriter* w) {
@@ -219,6 +228,151 @@ TEST(SerializeTest, RefusesTensorLargerThanTheStream) {
   auto loaded = DeserializeModel(&in);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A rank-1 tensor of `n` zeros, in the format's tensor encoding.
+void WriteVector(ByteWriter* w, int64_t n) {
+  w->U32(1);
+  w->I64(n);
+  for (int64_t i = 0; i < n; ++i) w->F32(0.0f);
+}
+
+// A model file whose root Sequential holds the one layer `layer` writes.
+std::string OneLayerModel(const std::function<void(ByteWriter*)>& layer) {
+  ByteWriter w;
+  WriteHeader(&w);
+  w.U32(kTagSequential);
+  w.I64(1);
+  layer(&w);
+  return w.Take();
+}
+
+void ExpectRefused(const std::string& blob) {
+  std::stringstream in(blob);
+  auto loaded = DeserializeModel(&in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SerializeTest, RefusesConvHeadersTheWeightsDoNotBack) {
+  // Each header is refused before a layer is built: a non-positive field
+  // used to abort in the Conv2d constructor, and 2^40 output channels used
+  // to size a zero-filled weight tensor before the weights were read.
+  const std::vector<std::vector<int64_t>> headers = {
+      {0, 16, 3, 1, 1},                 // in_c
+      {3, -16, 3, 1, 1},                // out_c
+      {3, 16, 0, 1, 0},                 // kernel
+      {3, 16, 3, 0, 1},                 // stride
+      {3, 16, 3, 1, -1},                // pad
+      {3, int64_t{1} << 40, 3, 1, 1},   // out_c far beyond the weights
+      {1, 1, int64_t{1} << 32, 1, 0}};  // kernel*kernel overflows
+  for (const std::vector<int64_t>& header : headers) {
+    ExpectRefused(OneLayerModel([&](ByteWriter* w) {
+      w->U32(kTagConv2d);
+      for (int64_t field : header) w->I64(field);
+      w->U32(0);  // no bias
+      WriteVector(w, 3 * 16 * 3 * 3);
+    }));
+  }
+}
+
+TEST(SerializeTest, RefusesLinearHeadersTheWeightsDoNotBack) {
+  for (int64_t in_f : {int64_t{0}, int64_t{-4}, int64_t{1} << 40}) {
+    ExpectRefused(OneLayerModel([&](ByteWriter* w) {
+      w->U32(kTagLinear);
+      w->I64(in_f);
+      w->I64(5);
+      WriteVector(w, 4 * 5);
+      WriteVector(w, 5);
+    }));
+  }
+}
+
+TEST(SerializeTest, RefusesBatchNormWithShortOrMissingStatistics) {
+  // gamma matches the channel count; a shorter beta, running mean or
+  // running var used to load, and inference then read past its end.
+  for (int shorter = 0; shorter < 4; ++shorter) {
+    ExpectRefused(OneLayerModel([&](ByteWriter* w) {
+      w->U32(kTagBatchNorm);
+      w->I64(8);
+      for (int t = 0; t < 4; ++t) WriteVector(w, t == shorter ? 2 : 8);
+    }));
+  }
+  // Channel counts no tensor can back: the constructor used to abort on
+  // zero and to allocate 2^40 floats before reading anything.
+  for (int64_t channels : {int64_t{0}, int64_t{1} << 40}) {
+    ExpectRefused(OneLayerModel([&](ByteWriter* w) {
+      w->U32(kTagBatchNorm);
+      w->I64(channels);
+      for (int t = 0; t < 4; ++t) WriteVector(w, 8);
+    }));
+  }
+}
+
+TEST(SerializeTest, RefusesLmaWithoutOneOffsetOrAFiniteBound) {
+  const auto lma = [](float bound, int64_t offsets) {
+    return OneLayerModel([=](ByteWriter* w) {
+      w->U32(kTagLma);
+      w->I64(4);  // segments
+      w->F32(bound);
+      WriteVector(w, 4);  // slopes
+      WriteVector(w, offsets);
+    });
+  };
+  std::stringstream valid(lma(1.0f, 1));
+  auto loaded = DeserializeModel(&valid);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // Each of these used to load. Forward reads offset[0], past the end of an
+  // empty offset, and an infinite or NaN bound makes every input's segment
+  // index a NaN converted to an integer.
+  ExpectRefused(lma(1.0f, 0));
+  ExpectRefused(lma(1.0f, 2));
+  ExpectRefused(lma(std::numeric_limits<float>::infinity(), 1));
+  ExpectRefused(lma(std::numeric_limits<float>::quiet_NaN(), 1));
+}
+
+// A basic residual block over 4 channels, written member by member;
+// `skip` names one member (0..10, in file order) to write as absent.
+void WriteBasicBlock(ByteWriter* w, uint32_t kind, int skip) {
+  w->U32(kTagResidualBlock);
+  w->U32(kind);
+  for (int64_t field : {4, 4, 1}) w->I64(field);  // in, out, stride
+  const auto conv = [w] {
+    w->U32(kTagConv2d);
+    for (int64_t field : {4, 4, 3, 1, 1}) w->I64(field);
+    w->U32(0);  // no bias
+    WriteVector(w, 4 * 4 * 3 * 3);
+  };
+  const auto bn = [w] {
+    w->U32(kTagBatchNorm);
+    w->I64(4);
+    for (int t = 0; t < 4; ++t) WriteVector(w, 4);
+  };
+  const auto relu = [w] { w->U32(kTagReLU); };
+  const auto absent = [w] { w->U32(kTagAbsent); };
+  // conv1 bn1 act1 conv2 bn2 act2 conv3 bn3 act_out downsample conv, bn
+  const std::function<void()> members[11] = {conv, bn, relu, conv, bn, absent,
+                                             absent, absent, relu, absent,
+                                             absent};
+  for (int m = 0; m < 11; ++m) (m == skip ? absent : members[m])();
+}
+
+TEST(SerializeTest, RefusesResidualBlocksForwardCannotRun) {
+  std::stringstream valid(OneLayerModel(
+      [](ByteWriter* w) { WriteBasicBlock(w, 0, /*skip=*/-1); }));
+  auto loaded = DeserializeModel(&valid);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // Each of these used to load, and the first forward pass dereferenced a
+  // missing member: one the basic block runs, the bottleneck stage a
+  // bottleneck kind runs, or the one an unknown kind was read as.
+  for (int skip : {0, 1, 2, 3, 4, 8}) {
+    ExpectRefused(OneLayerModel(
+        [&](ByteWriter* w) { WriteBasicBlock(w, 0, skip); }));
+  }
+  for (uint32_t kind : {1u, 7u}) {
+    ExpectRefused(OneLayerModel(
+        [&](ByteWriter* w) { WriteBasicBlock(w, kind, /*skip=*/-1); }));
+  }
 }
 
 TEST(SerializeTest, RefusesNestingDeeperThanAnyModel) {

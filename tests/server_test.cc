@@ -418,6 +418,42 @@ TEST(ServerTest, FetchedModelMatchesDirectMaterialization) {
   (*srv)->Stop();
 }
 
+// Each step of a served job runs once: the job publishes the model its
+// search already built, so a fresh job invokes a compressor exactly once per
+// strategy execution and trains exactly the epochs an in-process RunSearch
+// of the same spec trains.
+TEST(ServerTest, PublishingTheWinnerRerunsNothing) {
+  ScopedTempDir dir("server_once");
+  server::Server::Options opts;
+  opts.socket_path = dir.File("s.sock");
+  opts.jobs.workdir = dir.File("wd");
+  opts.jobs.artifact_dir = dir.File("artifacts");
+  auto srv = server::Server::Start(opts);
+  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+  auto client = Client::Connect(opts.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+  registry.Reset();
+  const core::RunSpec spec = TinySpec(/*seed=*/37, /*budget=*/4);
+  auto id = client->Submit(spec);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto done = PollUntil(&*client, *id, server::JobStateIsTerminal);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  ASSERT_EQ(done->state, JobState::kDone) << done->error;
+  ASSERT_EQ(registry.GetCounter("server.models_published").value(), 1);
+
+  EXPECT_EQ(testing::CompressorInvocations(), done->executions);
+  EXPECT_EQ(registry.GetCounter("search.strategy_executions").value(),
+            done->executions);
+  const int64_t job_epochs = registry.GetCounter("trainer.epochs").value();
+  (*srv)->Stop();
+
+  registry.Reset();
+  ASSERT_TRUE(core::RunSearch(spec).ok());
+  EXPECT_EQ(job_epochs, registry.GetCounter("trainer.epochs").value());
+}
+
 TEST(ServerTest, TwoConcurrentJobsStayBitIdentical) {
   ScopedTempDir dir("server_conc");
   server::Server::Options opts;

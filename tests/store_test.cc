@@ -11,6 +11,8 @@
 
 #include "common/bytes.h"
 #include "common/metrics.h"
+#include "core/automc.h"
+#include "core/run_spec.h"
 #include "gtest/gtest.h"
 #include "nn/trainer.h"
 #include "search/evaluator.h"
@@ -362,6 +364,70 @@ TEST(ExperienceStoreTest, WarmRerunRunsZeroRealExecutions) {
   EXPECT_EQ(warm.charged_executions(), cold_charged);
   EXPECT_GT(warm.store_hits(), 0);
   EXPECT_EQ((*reopened)->appends(), 0);  // nothing new to persist
+}
+
+// A record is bound to the compression context it was measured under, not
+// only to the space and base model: an automc job (fine-tuning lr, epoch base
+// scaled to the subsample) and a baseline job (the task's lr and epochs) of
+// the same task share space and base model, yet must not serve each other's
+// measurements.
+TEST(ExperienceStoreTest, RecordsDoNotCrossCompressionContexts) {
+  ScopedTempDir dir("context");
+  const std::string path = dir.File("store.bin");
+  core::RunSpec spec;
+  spec.family = "vgg";
+  spec.depth = 13;
+  spec.dataset = "tiny";
+  spec.pretrain = 1;
+  spec.seed = 42;
+  const core::CompressionTask task = core::MakeTask(spec);
+  auto base = core::PretrainModel(task);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  const search::SearchSpace space = search::SearchSpace::FullTable1();
+  // An LMA strategy the two contexts measure at different accuracies.
+  const std::vector<int> scheme = {51};
+  const core::SearchContext baseline(task, spec.seed, /*automc=*/false);
+  const core::SearchContext automc(task, spec.seed, /*automc=*/true);
+  ASSERT_NE(baseline.ctx.lr, automc.ctx.lr);
+  ASSERT_NE(baseline.ctx.pretrain_epochs, automc.ctx.pretrain_epochs);
+
+  double baseline_acc = 0.0;
+  {
+    auto opened = ExperienceStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    search::SchemeEvaluator ev(&space, base->get(), baseline.ctx, {});
+    ASSERT_TRUE(ev.AttachStore(opened->get()).ok());
+    auto point = ev.Evaluate(scheme);
+    ASSERT_TRUE(point.ok()) << point.status().ToString();
+    EXPECT_EQ(ev.strategy_executions(), 1);
+    baseline_acc = point->acc;
+  }
+
+  search::SchemeEvaluator storeless(&space, base->get(), automc.ctx, {});
+  auto want = storeless.Evaluate(scheme);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_NE(want->acc, baseline_acc);
+
+  auto reopened = ExperienceStore::Open(path);
+  ASSERT_TRUE(reopened.ok());
+  search::SchemeEvaluator ev(&space, base->get(), automc.ctx, {});
+  ASSERT_TRUE(ev.AttachStore(reopened->get()).ok());
+  auto got = ev.Evaluate(scheme);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(ev.store_hits(), 0);
+  EXPECT_EQ(ev.strategy_executions(), 1);
+  EXPECT_EQ(got->acc, want->acc);
+  EXPECT_EQ(got->params, want->params);
+  EXPECT_EQ(got->flops, want->flops);
+
+  // The same context still reads its own records back.
+  auto again = ExperienceStore::Open(path);
+  ASSERT_TRUE(again.ok());
+  search::SchemeEvaluator warm(&space, base->get(), baseline.ctx, {});
+  ASSERT_TRUE(warm.AttachStore(again->get()).ok());
+  ASSERT_TRUE(warm.Evaluate(scheme).ok());
+  EXPECT_EQ(warm.strategy_executions(), 0);
+  EXPECT_EQ(warm.store_hits(), 1);
 }
 
 TEST(CheckpointTest, WriteLoadRoundTrip) {

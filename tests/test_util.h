@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/durable.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "tensor/tensor.h"
@@ -119,6 +120,18 @@ inline double Scalarize(const tensor::Tensor& y, const tensor::Tensor& w) {
   double s = 0.0;
   for (int64_t i = 0; i < y.numel(); ++i) s += static_cast<double>(y[i]) * w[i];
   return s;
+}
+
+// Compressor runs recorded so far: every method's
+// `compress.<M>.invocations` counter, summed.
+inline int64_t CompressorInvocations() {
+  int64_t total = 0;
+  for (const char* method : {"LMA", "LeGR", "NS", "SFP", "HOS", "LFB", "QT"}) {
+    total += metrics::MetricsRegistry::Global()
+                 .GetCounter(std::string("compress.") + method + ".invocations")
+                 .value();
+  }
+  return total;
 }
 
 }  // namespace testing
