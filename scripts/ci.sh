@@ -286,9 +286,10 @@ echo "== COW sanitizer stage =="
 # registry (pool threads record through macro sites while Reset() zeroes),
 # then shake out addressability bugs in the buffer-sharing paths, the
 # folded conv blocks, the raw-pointer TransR pair step, the metric
-# references kept across Reset(), the model decoder, the experience store
-# and the durable-file parsers with an ASan+UBSan pass. Both run at
-# AUTOMC_THREADS=1 and 4 like the main suite.
+# references kept across Reset(), the model decoder, the experience store,
+# the durable-file parsers and the seeded decoder fuzz (which, under ASan,
+# also fails any allocation over 64 MiB) with an ASan+UBSan pass. Both run
+# at AUTOMC_THREADS=1 and 4 like the main suite.
 cmake -B build-tsan -S . -DAUTOMC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j --target cow_tensor_test batch_eval_test \
@@ -304,11 +305,11 @@ cmake -B build-asan -S . -DAUTOMC_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j --target tensor_test cow_tensor_test nn_model_test \
   kg_test experience_index_test artifact_test durable_test metrics_test \
-  serialize_test store_test
+  serialize_test store_test decoder_fuzz_test
 for threads in 1 4; do
   echo "-- asan ctest, AUTOMC_THREADS=${threads} --"
   AUTOMC_THREADS="${threads}" ctest --test-dir build-asan \
-    -R 'tensor_test|cow_tensor_test|nn_model_test|kg_test|experience_index_test|artifact_test|durable_test|metrics_test|serialize_test|store_test' \
+    -R 'tensor_test|cow_tensor_test|nn_model_test|kg_test|experience_index_test|artifact_test|durable_test|metrics_test|serialize_test|store_test|decoder_fuzz_test' \
     --output-on-failure
 done
 

@@ -87,6 +87,7 @@ Result<std::unique_ptr<Compressor>> CreateCompressor(const StrategySpec& spec);
 
 // Fills `stats` around a compression body: measures the model before,
 // invokes `body`, measures after. Used by every method implementation.
+// With null `stats` it only runs `body`: nothing is measured.
 Status MeasureAround(nn::Model* model, const CompressionContext& ctx,
                      const std::function<Status()>& body,
                      CompressionStats* stats);

@@ -72,33 +72,6 @@ LossResult NegativeLikelihood(const Tensor& logits,
   return out;
 }
 
-LossResult SoftmaxMse(const Tensor& logits, const std::vector<int>& labels) {
-  CheckLabels(logits, labels);
-  int64_t n = logits.size(0), c = logits.size(1);
-  Tensor p = Softmax(logits);
-  LossResult out;
-  out.grad = Tensor({n, c});
-  double loss = 0.0;
-  float scale = 1.0f / static_cast<float>(n * c);
-  for (int64_t i = 0; i < n; ++i) {
-    int y = labels[static_cast<size_t>(i)];
-    // residuals r_j = p_j - onehot_j; dL/ds_k = 2*scale * sum_j r_j p_j (1{j==k} - p_k)
-    double dot_rp = 0.0;  // sum_j r_j * p_j
-    for (int64_t j = 0; j < c; ++j) {
-      float r = p.at(i, j) - (j == y ? 1.0f : 0.0f);
-      loss += static_cast<double>(r) * r;
-      dot_rp += static_cast<double>(r) * p.at(i, j);
-    }
-    for (int64_t k = 0; k < c; ++k) {
-      float r_k = p.at(i, k) - (k == y ? 1.0f : 0.0f);
-      out.grad.at(i, k) = 2.0f * scale * p.at(i, k) *
-                          (r_k - static_cast<float>(dot_rp));
-    }
-  }
-  out.loss = static_cast<float>(loss) * scale;
-  return out;
-}
-
 LossResult Mse(const Tensor& pred, const Tensor& target) {
   AUTOMC_CHECK_EQ(pred.numel(), target.numel());
   LossResult out;

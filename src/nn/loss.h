@@ -23,10 +23,6 @@ LossResult CrossEntropy(const tensor::Tensor& logits,
 LossResult NegativeLikelihood(const tensor::Tensor& logits,
                               const std::vector<int>& labels);
 
-// Mean squared error between softmax probabilities and the one-hot target.
-LossResult SoftmaxMse(const tensor::Tensor& logits,
-                      const std::vector<int>& labels);
-
 // Plain mean squared error between two equal-shaped tensors (gradient with
 // respect to `pred`). Used for logit-matching auxiliary losses.
 LossResult Mse(const tensor::Tensor& pred, const tensor::Tensor& target);

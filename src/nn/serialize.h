@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "nn/model.h"
@@ -20,11 +21,15 @@ namespace nn {
 //
 // Every layer is  u32 tag | type-specific fields | parameter tensors.
 // Integers are little-endian fixed width; tensors are shape + raw float32.
+// Both directions go through ByteWriter/ByteReader (common/bytes.h); the
+// layout predates that move unchanged, and tests/data/model pins it.
 
 Status SerializeModel(Model* model, std::ostream* out);
-// `in` must be seekable: a tensor larger than the bytes left in it is
-// refused before anything is allocated.
-Result<std::unique_ptr<Model>> DeserializeModel(std::istream* in);
+// Decodes exactly one model from `bytes`. Every length is checked against
+// the bytes left before anything is allocated, and a file that would not
+// re-encode to the same bytes (a trailing byte, a non-canonical field) is
+// refused.
+Result<std::unique_ptr<Model>> DeserializeModel(std::string_view bytes);
 
 // File convenience wrappers.
 Status SaveModel(Model* model, const std::string& path);

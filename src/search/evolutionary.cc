@@ -79,9 +79,10 @@ Status EvolutionarySearcher::Restore(std::string_view blob) {
       !state_->archive.Restore(&r) || !r.U32(&count)) {
     return Status::InvalidArgument("corrupted Evolution searcher snapshot");
   }
-  std::vector<Individual> population(count);
+  std::vector<Individual> population;
   for (uint32_t i = 0; i < count; ++i) {
-    if (!r.Ints(&population[i].scheme) || !ReadPoint(&r, &population[i].point)) {
+    Individual& ind = population.emplace_back();
+    if (!r.Ints(&ind.scheme) || !ReadPoint(&r, &ind.point)) {
       return Status::InvalidArgument("corrupted Evolution searcher snapshot");
     }
   }

@@ -34,9 +34,8 @@ void WriteExample(ByteWriter* w, const FmoExample& ex) {
 bool ReadExample(ByteReader* r, FmoExample* ex) {
   uint32_t n = 0;
   if (!r->U32(&n)) return false;
-  ex->sequence.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
-    if (!ReadTensor(r, &ex->sequence[i])) return false;
+    if (!ReadTensor(r, &ex->sequence.emplace_back())) return false;
   }
   return ReadTensor(r, &ex->candidate) && ReadTensor(r, &ex->task) &&
          r->F32(&ex->ar_step) && r->F32(&ex->pr_step);
@@ -107,22 +106,24 @@ Status ProgressiveSearcher::Restore(std::string_view blob) {
       !s.archive.Restore(&r) || !s.fmo.Restore(&r) || !r.U32(&node_count)) {
     return Status::InvalidArgument("corrupted AutoMC searcher snapshot");
   }
-  std::vector<Node> nodes(node_count);
+  // Append as entries decode: a declared count must not size memory.
+  std::vector<Node> nodes;
   for (uint32_t i = 0; i < node_count; ++i) {
+    Node& node = nodes.emplace_back();
     std::vector<int> children;
-    if (!r.Ints(&nodes[i].scheme) || !ReadPoint(&r, &nodes[i].point) ||
+    if (!r.Ints(&node.scheme) || !ReadPoint(&r, &node.point) ||
         !r.Ints(&children)) {
       return Status::InvalidArgument("corrupted AutoMC searcher snapshot");
     }
-    nodes[i].explored_children.insert(children.begin(), children.end());
+    node.explored_children.insert(children.begin(), children.end());
   }
   uint32_t replay_count = 0;
   if (!r.U32(&replay_count)) {
     return Status::InvalidArgument("corrupted AutoMC searcher snapshot");
   }
-  std::vector<FmoExample> replay(replay_count);
+  std::vector<FmoExample> replay;
   for (uint32_t i = 0; i < replay_count; ++i) {
-    if (!ReadExample(&r, &replay[i])) {
+    if (!ReadExample(&r, &replay.emplace_back())) {
       return Status::InvalidArgument("corrupted AutoMC searcher snapshot");
     }
   }

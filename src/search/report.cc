@@ -169,23 +169,21 @@ std::string SaveOutcomeBytes(const SearchOutcome& outcome) {
 Result<SearchOutcome> LoadOutcomeBytes(std::string_view bytes) {
   ByteReader r(bytes);
   SearchOutcome out;
+  // Append as entries decode: a declared count must not size memory.
   uint32_t pareto = 0;
   if (!r.U32(&pareto)) {
     return Status::InvalidArgument("truncated outcome bytes");
   }
-  out.pareto_schemes.resize(pareto);
-  out.pareto_points.resize(pareto);
   for (uint32_t i = 0; i < pareto; ++i) {
-    if (!r.Ints(&out.pareto_schemes[i]) ||
-        !ReadPoint(&r, &out.pareto_points[i])) {
+    if (!r.Ints(&out.pareto_schemes.emplace_back()) ||
+        !ReadPoint(&r, &out.pareto_points.emplace_back())) {
       return Status::InvalidArgument("truncated outcome pareto entry");
     }
   }
   uint32_t hist = 0;
   if (!r.U32(&hist)) return Status::InvalidArgument("truncated outcome bytes");
-  out.history.resize(hist);
   for (uint32_t i = 0; i < hist; ++i) {
-    HistoryPoint& h = out.history[i];
+    HistoryPoint& h = out.history.emplace_back();
     if (!r.I32(&h.executions) || !r.F64(&h.best_acc) ||
         !r.F64(&h.best_acc_any)) {
       return Status::InvalidArgument("truncated outcome history entry");

@@ -97,19 +97,24 @@ void Archive::Snapshot(ByteWriter* w) const {
 }
 
 bool Archive::Restore(ByteReader* r) {
+  // Append as entries decode: a declared count must not size memory.
   uint64_t n = 0;
   if (!r->U64(&n)) return false;
-  std::vector<std::vector<int>> schemes(n);
-  std::vector<EvalPoint> points(n);
+  std::vector<std::vector<int>> schemes;
+  std::vector<EvalPoint> points;
   for (uint64_t i = 0; i < n; ++i) {
-    if (!r->Ints(&schemes[i]) || !ReadPoint(r, &points[i])) return false;
+    if (!r->Ints(&schemes.emplace_back()) ||
+        !ReadPoint(r, &points.emplace_back())) {
+      return false;
+    }
   }
   uint64_t hn = 0;
   if (!r->U64(&hn)) return false;
-  std::vector<HistoryPoint> history(hn);
+  std::vector<HistoryPoint> history;
   for (uint64_t i = 0; i < hn; ++i) {
-    if (!r->I32(&history[i].executions) || !r->F64(&history[i].best_acc) ||
-        !r->F64(&history[i].best_acc_any)) {
+    HistoryPoint& h = history.emplace_back();
+    if (!r->I32(&h.executions) || !r->F64(&h.best_acc) ||
+        !r->F64(&h.best_acc_any)) {
       return false;
     }
   }

@@ -367,20 +367,33 @@ Status Client::Cancel(uint64_t id) {
       .status();
 }
 
+namespace {
+
+// Decodes a `u32 count, count * entry` list reply, appending as entries
+// decode: the declared count must not size memory.
+template <typename T>
+Result<std::vector<T>> DecodeList(std::string_view payload,
+                                  bool (*decode)(ByteReader*, T*),
+                                  const std::string& what) {
+  ByteReader r(payload);
+  uint32_t count = 0;
+  if (!r.U32(&count)) return Status::Internal("malformed " + what);
+  std::vector<T> out;
+  for (uint32_t i = 0; i < count; ++i) {
+    if (!decode(&r, &out.emplace_back())) {
+      return Status::Internal("malformed " + what + " entry");
+    }
+  }
+  if (!r.Done()) return Status::Internal("trailing bytes in " + what);
+  return out;
+}
+
+}  // namespace
+
 Result<std::vector<JobInfo>> Client::ListJobs() {
   AUTOMC_ASSIGN_OR_RETURN(
       Frame reply, ExpectType(Call(MsgType::kListJobs, {}), MsgType::kJobList));
-  ByteReader r(reply.payload);
-  uint32_t count = 0;
-  if (!r.U32(&count)) return Status::Internal("malformed job list");
-  std::vector<JobInfo> jobs(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!DecodeJobInfo(&r, &jobs[i])) {
-      return Status::Internal("malformed job list entry");
-    }
-  }
-  if (!r.Done()) return Status::Internal("trailing bytes in job list");
-  return jobs;
+  return DecodeList(reply.payload, DecodeJobInfo, "job list");
 }
 
 Result<std::string> Client::FetchOutcomeBytes(uint64_t id) {
@@ -497,17 +510,7 @@ Result<std::vector<ArtifactInfo>> Client::ListArtifacts() {
   AUTOMC_ASSIGN_OR_RETURN(
       Frame reply, ExpectType(Call(MsgType::kListArtifacts, {}),
                               MsgType::kArtifactList));
-  ByteReader r(reply.payload);
-  uint32_t count = 0;
-  if (!r.U32(&count)) return Status::Internal("malformed artifact list");
-  std::vector<ArtifactInfo> out(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!DecodeArtifactInfo(&r, &out[i])) {
-      return Status::Internal("malformed artifact list entry");
-    }
-  }
-  if (!r.Done()) return Status::Internal("trailing bytes in artifact list");
-  return out;
+  return DecodeList(reply.payload, DecodeArtifactInfo, "artifact list");
 }
 
 }  // namespace server

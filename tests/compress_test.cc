@@ -5,7 +5,6 @@
 #include "compress/lowrank_apply.h"
 #include "compress/methods.h"
 #include "compress/surgery.h"
-#include "compress/taylor.h"
 #include "gtest/gtest.h"
 #include "nn/trainer.h"
 
@@ -441,51 +440,6 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.spec.method;
     });
 
-// --------------------------------------------------------------------------
-// Taylor-expansion importance (extension criterion)
-
-TEST(TaylorTest, ImportanceScoresAreFiniteAndNonNegative) {
-  data::TaskData task = SmallTask();
-  auto model = MakeModel("vgg", 13, 71);
-  auto importance = MakeTaylorImportance(model.get(), task.train, 1, 16, 3);
-  ASSERT_TRUE(importance.ok()) << importance.status().ToString();
-  for (const auto& unit : CollectPrunableUnits(model.get())) {
-    for (int64_t f = 0; f < unit.conv->out_channels(); ++f) {
-      double s = (*importance)(unit, f);
-      EXPECT_TRUE(std::isfinite(s));
-      EXPECT_GE(s, 0.0);
-    }
-  }
-}
-
-TEST(TaylorTest, StructuredPruneHitsTarget) {
-  data::TaskData task = SmallTask();
-  auto model = MakeModel("vgg", 13, 72);
-  int64_t params0 = model->ParamCount();
-  GlobalPruneOptions opts;
-  opts.target_param_fraction = 0.25;
-  ASSERT_TRUE(TaylorStructuredPrune(model.get(), task.train, opts).ok());
-  double achieved = 1.0 - static_cast<double>(model->ParamCount()) / params0;
-  EXPECT_GE(achieved, 0.2);
-  // Model still runs and trains.
-  Rng rng(5);
-  Tensor x = Tensor::Randn({1, 3, 8, 8}, &rng);
-  EXPECT_TRUE(std::isfinite(model->Forward(x, false)[0]));
-}
-
-TEST(TaylorTest, RejectsBadArguments) {
-  data::TaskData task = SmallTask();
-  auto model = MakeModel("vgg", 13, 73);
-  GlobalPruneOptions opts;
-  opts.target_param_fraction = 0.2;
-  EXPECT_FALSE(TaylorStructuredPrune(nullptr, task.train, opts).ok());
-  EXPECT_FALSE(
-      TaylorStructuredPrune(model.get(), task.train, opts, /*rescore_every=*/0)
-          .ok());
-  data::Dataset empty;
-  EXPECT_FALSE(MakeTaylorImportance(model.get(), empty).ok());
-}
-
 // Sequential composition: two different strategies applied back to back
 // (the core premise of AutoMC's search space).
 TEST(MethodCompositionTest, NsThenSfp) {
@@ -511,6 +465,51 @@ TEST(MethodCompositionTest, NsThenSfp) {
   double total = 1.0 - static_cast<double>(model->ParamCount()) / params0;
   EXPECT_GT(total, s1.ParamReduction());
   EXPECT_GT(total, 0.25);
+}
+
+// An identity layer that counts the eval-mode forwards through it.
+class EvalForwardCounter : public nn::Layer {
+ public:
+  explicit EvalForwardCounter(int* count) : count_(count) {}
+  Tensor Forward(const Tensor& x, bool training) override {
+    if (!training) ++*count_;
+    return x;
+  }
+  Tensor Backward(const Tensor& grad_out) override { return grad_out; }
+  std::unique_ptr<nn::Layer> Clone() const override {
+    return std::make_unique<EvalForwardCounter>(count_);
+  }
+  std::string Name() const override { return "EvalForwardCounter"; }
+
+ private:
+  int* count_;
+};
+
+// The evaluator and ExecuteScheme pass null stats: a compressor run for
+// them must not evaluate the model on the test split before and after.
+TEST(MeasureAroundTest, NullStatsMeasuresNothing) {
+  data::TaskData task = SmallTask();
+  auto model = MakeModel("vgg", 13, 41);
+  int eval_forwards = 0;
+  model->net()->Add(std::make_unique<EvalForwardCounter>(&eval_forwards));
+  CompressionContext ctx;
+  ctx.train = &task.train;
+  ctx.test = &task.test;
+  ctx.pretrain_epochs = 1;
+  ctx.batch_size = 16;
+
+  auto qt =
+      CreateCompressor(StrategySpec{"QT", {{"HP1", "0.1"}, {"HP17", "8"}}});
+  ASSERT_TRUE(qt.ok());
+  ASSERT_TRUE((*qt)->Compress(model.get(), ctx, nullptr).ok());
+  EXPECT_EQ(eval_forwards, 0);
+
+  CompressionStats stats;
+  ASSERT_TRUE(
+      MeasureAround(model.get(), ctx, [] { return Status::OK(); }, &stats)
+          .ok());
+  EXPECT_GT(eval_forwards, 0);
+  EXPECT_EQ(stats.acc_before, stats.acc_after);
 }
 
 }  // namespace

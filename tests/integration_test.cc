@@ -256,7 +256,7 @@ TEST(WorkflowTest, CompressSaveLoadCompressAgain) {
 
   std::stringstream buf;
   ASSERT_TRUE(nn::SerializeModel(model.get(), &buf).ok());
-  auto loaded = nn::DeserializeModel(&buf);
+  auto loaded = nn::DeserializeModel(buf.str());
   ASSERT_TRUE(loaded.ok());
 
   compress::StrategySpec qt{"QT", {{"HP1", "0.5"}, {"HP17", "8"}}};

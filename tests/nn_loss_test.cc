@@ -71,23 +71,6 @@ TEST(NegativeLikelihoodTest, RangeIsMinusOneToZero) {
   EXPECT_NEAR(r2.loss, 0.0f, 1e-4);
 }
 
-TEST(SoftmaxMseTest, FiniteDifference) {
-  Rng rng(4);
-  Tensor logits = Tensor::Randn({3, 4}, &rng);
-  std::vector<int> labels = {2, 2, 0};
-  CheckLossGradient(
-      [&](const Tensor& l) { return SoftmaxMse(l, labels); }, logits);
-}
-
-TEST(SoftmaxMseTest, ZeroWhenExactlyOneHot) {
-  Tensor logits({1, 3});
-  logits.at(0, 1) = 50.0f;
-  logits.at(0, 0) = -50.0f;
-  logits.at(0, 2) = -50.0f;
-  LossResult r = SoftmaxMse(logits, {1});
-  EXPECT_NEAR(r.loss, 0.0f, 1e-6);
-}
-
 TEST(MseTest, KnownValue) {
   Tensor a({2}), b({2});
   a[0] = 1.0f;

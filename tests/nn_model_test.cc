@@ -217,7 +217,7 @@ TEST(ModelTest, SerializeRoundTripIsCowFree) {
   int64_t mat0 = CowCounter("tensor.cow_materializations");
   std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(SerializeModel(model->get(), &blob).ok());
-  auto restored = DeserializeModel(&blob);
+  auto restored = DeserializeModel(blob.str());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(CowCounter("tensor.cow_materializations"), mat0)
       << "serialize/deserialize should never copy shared buffers";

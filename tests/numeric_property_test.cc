@@ -166,19 +166,6 @@ TEST(LossPropertyTest, NegativeLikelihoodBounds) {
   }
 }
 
-TEST(LossPropertyTest, SoftmaxMseBounded) {
-  Rng rng(43);
-  for (int trial = 0; trial < 10; ++trial) {
-    Tensor logits = Tensor::Randn({2, 4}, &rng, 3.0f);
-    std::vector<int> labels = {static_cast<int>(rng.UniformInt(4)),
-                               static_cast<int>(rng.UniformInt(4))};
-    float loss = nn::SoftmaxMse(logits, labels).loss;
-    EXPECT_GE(loss, 0.0f);
-    // Residuals are in [-1, 1], so the mean square is at most 1.
-    EXPECT_LE(loss, 1.0f);
-  }
-}
-
 TEST(LossPropertyTest, AccuracyAndCrossEntropyAgreeOnConfidentModel) {
   // A model with very confident correct logits: accuracy 1, CE ~ 0.
   Tensor logits({3, 3});

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/bytes.h"
 #include "gtest/gtest.h"
 #include "search/report.h"
 #include "search/searcher.h"
@@ -102,6 +103,23 @@ TEST(ReportTest, LoadRejectsHostileCounts) {
       "AUTOMC_OUTCOME 1\nexecutions 3\nhistory 0\npareto 1\n"
       "0.5 10 10 0.1 0.1 123456\n");
   EXPECT_FALSE(LoadOutcome(&scheme_bomb).ok());
+}
+
+TEST(ReportTest, BinaryLoadRefusesCountsTheBytesDoNotBack) {
+  // A declared count must not size an allocation: 2^32 - 1 pareto entries
+  // in a 4-byte payload used to throw std::bad_alloc from a resize.
+  ByteWriter pareto_bomb;
+  pareto_bomb.U32(0xffffffffu);
+  auto loaded = LoadOutcomeBytes(pareto_bomb.str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+  ByteWriter history_bomb;
+  history_bomb.U32(0);
+  history_bomb.U32(0xffffffffu);
+  loaded = LoadOutcomeBytes(history_bomb.str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ReportTest, LoadRejectsTruncatedScheme) {

@@ -1,10 +1,13 @@
+#include <cstring>
 #include <functional>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/durable.h"
 #include "compress/lowrank_apply.h"
 #include "compress/methods.h"
 #include "compress/surgery.h"
@@ -57,7 +60,7 @@ TEST_P(RoundTripTest, BitExactThroughStream) {
   auto model = MakeModel(family, depth);
   std::stringstream buf;
   ASSERT_TRUE(SerializeModel(model.get(), &buf).ok());
-  auto loaded = DeserializeModel(&buf);
+  auto loaded = DeserializeModel(buf.str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->spec().family, family);
   EXPECT_EQ((*loaded)->spec().depth, depth);
@@ -80,7 +83,7 @@ TEST(SerializeTest, SurvivesPruningSurgery) {
           .ok());
   std::stringstream buf;
   ASSERT_TRUE(SerializeModel(model.get(), &buf).ok());
-  auto loaded = DeserializeModel(&buf);
+  auto loaded = DeserializeModel(buf.str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->ParamCount(), model->ParamCount());
   ExpectSameOutputs(model.get(), loaded->get());
@@ -93,7 +96,7 @@ TEST(SerializeTest, SurvivesLowRankSurgery) {
                   .ok());
   std::stringstream buf;
   ASSERT_TRUE(SerializeModel(model.get(), &buf).ok());
-  auto loaded = DeserializeModel(&buf);
+  auto loaded = DeserializeModel(buf.str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSameOutputs(model.get(), loaded->get());
 }
@@ -104,7 +107,7 @@ TEST(SerializeTest, SurvivesLmaActivations) {
   compress::ReplaceAllActivations(model.get(), proto);
   std::stringstream buf;
   ASSERT_TRUE(SerializeModel(model.get(), &buf).ok());
-  auto loaded = DeserializeModel(&buf);
+  auto loaded = DeserializeModel(buf.str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSameOutputs(model.get(), loaded->get());
 }
@@ -114,7 +117,7 @@ TEST(SerializeTest, PreservesWeightBits) {
   model->set_weight_bits(8);
   std::stringstream buf;
   ASSERT_TRUE(SerializeModel(model.get(), &buf).ok());
-  auto loaded = DeserializeModel(&buf);
+  auto loaded = DeserializeModel(buf.str());
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ((*loaded)->weight_bits(), 8);
   EXPECT_EQ((*loaded)->EffectiveParamCount(), model->EffectiveParamCount());
@@ -136,7 +139,7 @@ TEST(SerializeTest, PreservesBatchNormRunningStats) {
 
   std::stringstream buf;
   ASSERT_TRUE(SerializeModel(model.get(), &buf).ok());
-  auto loaded = DeserializeModel(&buf);
+  auto loaded = DeserializeModel(buf.str());
   ASSERT_TRUE(loaded.ok());
   ExpectSameOutputs(model.get(), loaded->get());
 }
@@ -150,7 +153,7 @@ TEST(SerializeTest, LoadedModelIsTrainable) {
   auto model = MakeModel("resnet", 20);
   std::stringstream buf;
   ASSERT_TRUE(SerializeModel(model.get(), &buf).ok());
-  auto loaded = DeserializeModel(&buf);
+  auto loaded = DeserializeModel(buf.str());
   ASSERT_TRUE(loaded.ok());
   TrainConfig tc;
   tc.epochs = 1;
@@ -171,7 +174,7 @@ TEST(SerializeTest, FileRoundTrip) {
 TEST(SerializeTest, RejectsGarbage) {
   std::stringstream buf;
   buf << "this is not a model";
-  EXPECT_FALSE(DeserializeModel(&buf).ok());
+  EXPECT_FALSE(DeserializeModel(buf.str()).ok());
 }
 
 TEST(SerializeTest, RejectsTruncatedStream) {
@@ -179,9 +182,7 @@ TEST(SerializeTest, RejectsTruncatedStream) {
   std::stringstream buf;
   ASSERT_TRUE(SerializeModel(model.get(), &buf).ok());
   std::string bytes = buf.str();
-  std::stringstream cut;
-  cut << bytes.substr(0, bytes.size() / 2);
-  EXPECT_FALSE(DeserializeModel(&cut).ok());
+  EXPECT_FALSE(DeserializeModel(bytes.substr(0, bytes.size() / 2)).ok());
 }
 
 TEST(SerializeTest, MissingFileIsNotFound) {
@@ -199,14 +200,17 @@ constexpr uint32_t kTagReLU = 4;
 constexpr uint32_t kTagLma = 5;
 constexpr uint32_t kTagSequential = 9;
 constexpr uint32_t kTagResidualBlock = 10;
+constexpr uint32_t kTagLowRankConv = 11;
 constexpr uint32_t kTagAbsent = 0xffff;
 
 // Magic, version and ModelSpec: everything before the root layer.
-void WriteHeader(ByteWriter* w) {
+void WriteHeader(ByteWriter* w, int64_t depth = 20) {
   w->U32(0x4d434d41);  // "AMCM"
   w->U32(1);
   w->Str("resnet");
-  for (int64_t field : {20, 10, 16, 3, 32}) w->I64(field);  // depth..image
+  for (int64_t field : std::initializer_list<int64_t>{depth, 10, 16, 3, 32}) {
+    w->I64(field);  // depth..image
+  }
   w->I64(32);  // weight bits
 }
 
@@ -224,18 +228,22 @@ TEST(SerializeTest, RefusesTensorLargerThanTheStream) {
   w.I64(int64_t{1} << 24);
   w.I64(int64_t{1} << 24);
   ASSERT_EQ(w.str().size(), 146u);
-  std::stringstream in(w.str());
-  auto loaded = DeserializeModel(&in);
+  auto loaded = DeserializeModel(w.str());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
-// A rank-1 tensor of `n` zeros, in the format's tensor encoding.
-void WriteVector(ByteWriter* w, int64_t n) {
-  w->U32(1);
-  w->I64(n);
+// A tensor of zeros, in the format's tensor encoding.
+void WriteZeros(ByteWriter* w, const std::vector<int64_t>& shape) {
+  w->U32(static_cast<uint32_t>(shape.size()));
+  int64_t n = 1;
+  for (int64_t d : shape) {
+    w->I64(d);
+    n *= d;
+  }
   for (int64_t i = 0; i < n; ++i) w->F32(0.0f);
 }
+void WriteVector(ByteWriter* w, int64_t n) { WriteZeros(w, {n}); }
 
 // A model file whose root Sequential holds the one layer `layer` writes.
 std::string OneLayerModel(const std::function<void(ByteWriter*)>& layer) {
@@ -248,8 +256,7 @@ std::string OneLayerModel(const std::function<void(ByteWriter*)>& layer) {
 }
 
 void ExpectRefused(const std::string& blob) {
-  std::stringstream in(blob);
-  auto loaded = DeserializeModel(&in);
+  auto loaded = DeserializeModel(blob);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -271,7 +278,7 @@ TEST(SerializeTest, RefusesConvHeadersTheWeightsDoNotBack) {
       w->U32(kTagConv2d);
       for (int64_t field : header) w->I64(field);
       w->U32(0);  // no bias
-      WriteVector(w, 3 * 16 * 3 * 3);
+      WriteZeros(w, {16, 3, 3, 3});
     }));
   }
 }
@@ -282,7 +289,7 @@ TEST(SerializeTest, RefusesLinearHeadersTheWeightsDoNotBack) {
       w->U32(kTagLinear);
       w->I64(in_f);
       w->I64(5);
-      WriteVector(w, 4 * 5);
+      WriteZeros(w, {5, 4});
       WriteVector(w, 5);
     }));
   }
@@ -319,8 +326,7 @@ TEST(SerializeTest, RefusesLmaWithoutOneOffsetOrAFiniteBound) {
       WriteVector(w, offsets);
     });
   };
-  std::stringstream valid(lma(1.0f, 1));
-  auto loaded = DeserializeModel(&valid);
+  auto loaded = DeserializeModel(lma(1.0f, 1));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   // Each of these used to load. Forward reads offset[0], past the end of an
   // empty offset, and an infinite or NaN bound makes every input's segment
@@ -341,7 +347,7 @@ void WriteBasicBlock(ByteWriter* w, uint32_t kind, int skip) {
     w->U32(kTagConv2d);
     for (int64_t field : {4, 4, 3, 1, 1}) w->I64(field);
     w->U32(0);  // no bias
-    WriteVector(w, 4 * 4 * 3 * 3);
+    WriteZeros(w, {4, 4, 3, 3});
   };
   const auto bn = [w] {
     w->U32(kTagBatchNorm);
@@ -358,9 +364,8 @@ void WriteBasicBlock(ByteWriter* w, uint32_t kind, int skip) {
 }
 
 TEST(SerializeTest, RefusesResidualBlocksForwardCannotRun) {
-  std::stringstream valid(OneLayerModel(
+  auto loaded = DeserializeModel(OneLayerModel(
       [](ByteWriter* w) { WriteBasicBlock(w, 0, /*skip=*/-1); }));
-  auto loaded = DeserializeModel(&valid);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   // Each of these used to load, and the first forward pass dereferenced a
   // missing member: one the basic block runs, the bottleneck stage a
@@ -386,10 +391,115 @@ TEST(SerializeTest, RefusesNestingDeeperThanAnyModel) {
   }
   w.U32(kTagReLU);
   ASSERT_EQ(w.str().size(), 60070u);
-  std::stringstream in(w.str());
-  auto loaded = DeserializeModel(&in);
+  auto loaded = DeserializeModel(w.str());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SerializeTest, RefusesFilesThatWouldNotReencodeToTheSameBytes) {
+  // Each of these used to load, and writing the loaded model back out gave
+  // other bytes: a flag of 2 read as true, a weight reshaped to its header,
+  // a depth narrowed to int, bytes after the root layer ignored.
+  const auto conv = [](uint32_t has_bias, std::vector<int64_t> shape) {
+    return OneLayerModel([=](ByteWriter* w) {
+      w->U32(kTagConv2d);
+      for (int64_t field : {3, 16, 3, 1, 1}) w->I64(field);  // in..pad
+      w->U32(has_bias);
+      WriteZeros(w, shape);
+      if (has_bias != 0) WriteVector(w, 16);
+    });
+  };
+  ASSERT_TRUE(DeserializeModel(conv(1, {16, 3, 3, 3})).ok());
+  ExpectRefused(conv(2, {16, 3, 3, 3}));
+  ExpectRefused(conv(0, {16 * 3 * 3 * 3}));
+  ExpectRefused(conv(0, {16, 3, 9}));
+  ByteWriter wide;
+  WriteHeader(&wide, /*depth=*/int64_t{1} << 32);
+  wide.U32(kTagSequential);
+  wide.I64(0);
+  ExpectRefused(wide.str());
+  ExpectRefused(OneLayerModel([](ByteWriter* w) { w->U32(kTagReLU); }) + '\0');
+}
+
+TEST(SerializeTest, RefusesLowRankStagesThatDoNotChain) {
+  // The LowRankConv constructor aborts the process on such stages.
+  ExpectRefused(OneLayerModel([](ByteWriter* w) {
+    w->U32(kTagLowRankConv);
+    w->I64(2);
+    for (int64_t in_c : {3, 4}) {  // the first stage outputs 2, not 4
+      w->U32(kTagConv2d);
+      for (int64_t field : std::initializer_list<int64_t>{in_c, 2, 1, 1, 0}) {
+        w->I64(field);  // in..pad
+      }
+      w->U32(0);
+      WriteZeros(w, {2, in_c, 1, 1});
+    }
+  }));
+}
+
+// The decoder refuses any parameter shape the writer would not produce, so
+// a method that left a parameter in another shape would publish a model
+// nobody can load. Every method's output must reload and re-encode to the
+// same bytes.
+TEST(SerializeTest, EveryMethodsOutputReloadsToTheSameBytes) {
+  data::SyntheticTaskConfig cfg;
+  cfg.num_classes = 5;
+  cfg.train_per_class = 4;
+  cfg.test_per_class = 2;
+  data::TaskData task = MakeSyntheticTask(cfg);
+  compress::CompressionContext ctx;
+  ctx.train = &task.train;
+  ctx.test = &task.test;
+  ctx.pretrain_epochs = 1;
+  ctx.batch_size = 8;
+  const search::SearchSpace space = search::SearchSpace::Table1WithExtensions();
+  std::set<std::string> methods;
+  for (const compress::StrategySpec& spec : space.strategies()) {
+    if (!methods.insert(spec.method).second) continue;
+    for (auto [family, depth] : {std::make_pair("resnet", 20),
+                                 std::make_pair("vgg", 13)}) {
+      SCOPED_TRACE(spec.ToString() + " on " + family);
+      auto model = MakeModel(family, depth);
+      auto compressor = compress::CreateCompressor(spec);
+      ASSERT_TRUE(compressor.ok());
+      ASSERT_TRUE((*compressor)->Compress(model.get(), ctx, nullptr).ok());
+      std::stringstream bytes;
+      ASSERT_TRUE(SerializeModel(model.get(), &bytes).ok());
+      auto loaded = DeserializeModel(bytes.str());
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      std::stringstream again;
+      ASSERT_TRUE(SerializeModel(loaded->get(), &again).ok());
+      EXPECT_TRUE(again.str() == bytes.str());
+    }
+  }
+  EXPECT_EQ(methods.size(), 7u);
+}
+
+// Model files the serializer wrote before it moved onto ByteWriter and
+// ByteReader (tests/data/model). Each must decode, re-encode to the same
+// bytes, and compute the logits recorded beside it on
+// Randn({2, 3, 8, 8}, Rng(9)). Together they hold every layer tag, absent
+// residual members, basic and bottleneck blocks, LowRankConv stages, LMA
+// activations, a biased conv and 8-bit weights.
+TEST(SerializeTest, GoldenModelsDecodeAndReencodeByteIdentically) {
+  for (const char* name : {"vgg13_w2_pruned", "resnet20_w2_lowrank_lma_q8",
+                           "resnet164_w1", "conv_bias_linear"}) {
+    SCOPED_TRACE(name);
+    const std::string base = std::string(AUTOMC_MODEL_FIXTURES) + "/" + name;
+    auto bytes = durable::ReadFile(base + ".amcm");
+    auto logits = durable::ReadFile(base + ".logits");
+    ASSERT_TRUE(bytes.ok() && logits.ok());
+    auto model = DeserializeModel(*bytes);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    std::stringstream again;
+    ASSERT_TRUE(SerializeModel(model->get(), &again).ok());
+    EXPECT_TRUE(again.str() == *bytes) << "re-encoding changed the bytes";
+    Rng rng(9);
+    Tensor y = (*model)->Forward(Tensor::Randn({2, 3, 8, 8}, &rng), false);
+    ASSERT_EQ(static_cast<size_t>(y.numel()) * sizeof(float), logits->size());
+    EXPECT_EQ(std::memcmp(y.data(), logits->data(), logits->size()), 0)
+        << "forward outputs differ from the recorded logits";
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "common/metrics.h"
 #include "common/net.h"
 #include "core/run_spec.h"
+#include "fleet/event_loop.h"
 #include "gtest/gtest.h"
 #include "nn/serialize.h"
 #include "search/report.h"
@@ -272,6 +273,45 @@ TEST(ServerTest, OversizedPayloadGetsTypedErrorFrame) {
   auto eof = server::ReadFrame(*fd);
   EXPECT_EQ(eof.status().code(), StatusCode::kNotFound);
   ::close(*fd);
+  (*srv)->Stop();
+}
+
+// Answers every request with a list reply declaring 2^32 - 1 entries and
+// holding none.
+class HostileListHandler : public fleet::RequestHandler {
+ public:
+  server::Frame Handle(uint64_t client, const server::Frame& request) override {
+    (void)client;
+    ByteWriter count;
+    count.U32(0xffffffffu);
+    server::Frame reply;
+    reply.type = static_cast<uint32_t>(
+        request.type == static_cast<uint32_t>(server::MsgType::kListJobs)
+            ? server::MsgType::kJobList
+            : server::MsgType::kArtifactList);
+    reply.payload = count.Take();
+    return reply;
+  }
+};
+
+TEST(ServerTest, ListRepliesDeclaringMoreEntriesThanTheyHoldAreTypedErrors) {
+  // The client used to size its result vector from the declared count
+  // before reading one entry: std::bad_alloc instead of an error.
+  ScopedTempDir dir("server_hostile_list");
+  HostileListHandler handler;
+  server::Server::Options opts;
+  opts.socket_path = dir.File("s.sock");
+  opts.handler = &handler;
+  auto srv = server::Server::Start(opts);
+  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+  auto client = Client::Connect(opts.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto jobs = client->ListJobs();
+  ASSERT_FALSE(jobs.ok());
+  EXPECT_EQ(jobs.status().code(), StatusCode::kInternal);
+  auto artifacts = client->ListArtifacts();
+  ASSERT_FALSE(artifacts.ok());
+  EXPECT_EQ(artifacts.status().code(), StatusCode::kInternal);
   (*srv)->Stop();
 }
 
