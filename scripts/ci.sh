@@ -284,6 +284,8 @@ echo "== COW sanitizer stage =="
 # readers fetch through the mmap'd index), and the durable-file layer
 # (FileLock, same-path writers, the crash harness), and the metrics
 # registry (pool threads record through macro sites while Reset() zeroes),
+# and whole AutoMC runs (core_test, determinism_test), where pretraining
+# and embedding learning run as two training loops on the pool at once,
 # then shake out addressability bugs in the buffer-sharing paths, the
 # folded conv blocks, the raw-pointer TransR pair step, the metric
 # references kept across Reset(), the model decoder, the experience store,
@@ -293,11 +295,12 @@ echo "== COW sanitizer stage =="
 cmake -B build-tsan -S . -DAUTOMC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j --target cow_tensor_test batch_eval_test \
-  experience_index_test artifact_test durable_test metrics_test
+  experience_index_test artifact_test durable_test metrics_test core_test \
+  determinism_test
 for threads in 1 4; do
   echo "-- tsan ctest, AUTOMC_THREADS=${threads} --"
   AUTOMC_THREADS="${threads}" ctest --test-dir build-tsan \
-    -R 'cow_tensor_test|batch_eval_test|experience_index_test|artifact_test|durable_test|metrics_test' \
+    -R 'cow_tensor_test|batch_eval_test|experience_index_test|artifact_test|durable_test|metrics_test|core_test|determinism_test' \
     --output-on-failure
 done
 

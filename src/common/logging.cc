@@ -1,9 +1,11 @@
 #include "common/logging.h"
 
+#include <atomic>
+
 namespace automc {
 
 namespace {
-LogLevel g_level = LogLevel::kInfo;
+std::atomic<LogLevel> g_level{LogLevel::kInfo};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -20,13 +22,15 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
+void SetLogLevel(LogLevel level) {
+  g_level.store(level, std::memory_order_relaxed);
+}
+LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
 
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(level >= g_level) {
+    : enabled_(level >= GetLogLevel()) {
   if (enabled_) {
     const char* base = file;
     for (const char* p = file; *p; ++p) {
@@ -37,7 +41,11 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (enabled_) std::cerr << stream_.str() << std::endl;
+  if (!enabled_) return;
+  // One write per line, so lines logged from concurrent threads never
+  // interleave.
+  stream_ << '\n';
+  std::cerr << stream_.str();
 }
 
 }  // namespace internal

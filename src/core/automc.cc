@@ -5,6 +5,8 @@
 
 #include "common/bytes.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
+#include "common/trace.h"
 #include "nn/trainer.h"
 #include "search/rl.h"
 
@@ -101,86 +103,123 @@ search::SearchSpace AutoMC::MakeSearchSpace() const {
                                : search::SearchSpace::SingleMethod("LeGR");
 }
 
+Status PretrainBase(const CompressionTask& task, AutoMCResult* result) {
+  AUTOMC_SCOPED_TIMER("automc.pretrain_ms");
+  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> base, PretrainModel(task));
+  result->base_model = std::shared_ptr<nn::Model>(std::move(base));
+  result->base_accuracy =
+      nn::Trainer::Evaluate(result->base_model.get(), task.data.test);
+  return Status::OK();
+}
+
+namespace {
+
+// The knowledge branch of AutoMC::Run: strategy embeddings (Algorithm 1)
+// learned from the knowledge graph and measured experience. Nothing here
+// reads the target's base model.
+Status LearnEmbeddings(const AutoMCOptions& options,
+                       const search::SearchSpace& space,
+                       std::vector<kg::ExperienceRecord>* experience,
+                       std::vector<tensor::Tensor>* embeddings) {
+  AUTOMC_SCOPED_TIMER("automc.learn_ms");
+  kg::EmbeddingLearnerConfig ecfg = options.embedding;
+  ecfg.use_kg = options.use_kg;
+  ecfg.use_exp = options.use_exp;
+  ecfg.seed = options.seed + 2;
+
+  if (options.use_exp) {
+    kg::ExperienceGenConfig xcfg = options.experience;
+    xcfg.seed = options.seed + 3;
+    AUTOMC_ASSIGN_OR_RETURN(*experience,
+                            kg::GenerateExperience(space.strategies(), xcfg));
+    AUTOMC_LOG(Info) << "generated " << experience->size()
+                     << " experience records";
+  }
+  // Accumulated search experience from earlier runs: every record the
+  // store held when it was opened becomes an extra NN_exp training pair.
+  // The cutoff is pinned in the checkpoint (sticky section) so a resumed
+  // run exports exactly the set its crashed original saw — records the
+  // crashed run appended must not alter the embeddings it learned.
+  if (options.use_exp && options.experience_store != nullptr) {
+    uint64_t export_limit =
+        static_cast<uint64_t>(options.experience_store->loaded_size());
+    if (options.checkpointer != nullptr) {
+      auto it = options.checkpointer->pending().find("kg_export_limit");
+      if (it != options.checkpointer->pending().end()) {
+        ByteReader r(it->second);
+        uint64_t pinned = 0;
+        if (!r.U64(&pinned)) {
+          return Status::InvalidArgument(
+              "corrupted kg_export_limit checkpoint section");
+        }
+        export_limit = pinned;
+      }
+      ByteWriter w;
+      w.U64(export_limit);
+      options.checkpointer->SetStickySection("kg_export_limit", w.Take());
+    }
+    if (export_limit > 0) {
+      std::vector<store::ExperienceStep> steps =
+          options.experience_store->ExportSteps(
+              search::SchemeEvaluator::SpaceFingerprint(space), export_limit);
+      for (const store::ExperienceStep& step : steps) {
+        kg::ExperienceRecord rec;
+        rec.strategy_index = static_cast<size_t>(step.strategy);
+        rec.task_features = step.task_features;
+        rec.ar = step.ar_step;
+        rec.pr = step.pr_step;
+        experience->push_back(std::move(rec));
+      }
+      AUTOMC_LOG(Info) << "imported " << steps.size()
+                       << " experience steps from the store";
+    }
+  }
+  kg::StrategyEmbeddingLearner learner(space.strategies(), ecfg);
+  AUTOMC_RETURN_IF_ERROR(learner.Learn(*experience));
+  embeddings->reserve(space.size());
+  for (size_t i = 0; i < space.size(); ++i) {
+    embeddings->push_back(learner.Embedding(i));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<AutoMCResult> AutoMC::Run(const CompressionTask& task) {
+  AUTOMC_SCOPED_TIMER("automc.run_ms");
   AutoMCResult result;
   search::SearchSpace space = MakeSearchSpace();
   AUTOMC_LOG(Info) << "AutoMC search space: " << space.size() << " strategies";
 
-  // 1. Pretrain the base model on the full training split.
-  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> base,
-                          PretrainModel(task));
-  result.base_model = std::shared_ptr<nn::Model>(std::move(base));
-  result.base_accuracy =
-      nn::Trainer::Evaluate(result.base_model.get(), task.data.test);
-
-  // 2. Learn strategy embeddings (Algorithm 1) from the knowledge graph and
-  //    measured experience. Skipped entirely for the RL ablation, which has
-  //    its own action embeddings.
-  kg::EmbeddingLearnerConfig ecfg = options_.embedding;
-  ecfg.use_kg = options_.use_kg;
-  ecfg.use_exp = options_.use_exp;
-  ecfg.seed = options_.seed + 2;
-
+  // 1. Pretraining and embedding learning share the pool as two chunks of
+  //    one loop. Each branch writes only its own outputs from its own seeds,
+  //    so neither which lane runs a branch nor whether the two overlap can
+  //    change a bit. The knowledge branch is chunk 0, the one the calling
+  //    thread normally claims (the placement with the lowest peak RSS). The
+  //    RL ablation has its own action embeddings, so it pretrains alone on
+  //    the caller, where nested loops still use the whole pool.
   std::vector<tensor::Tensor> embeddings;
   std::vector<kg::ExperienceRecord> experience;
+  Status model_status;
+  Status knowledge_status;
   if (options_.use_progressive) {
-    if (options_.use_exp) {
-      kg::ExperienceGenConfig xcfg = options_.experience;
-      xcfg.seed = options_.seed + 3;
-      AUTOMC_ASSIGN_OR_RETURN(experience,
-                              kg::GenerateExperience(space.strategies(), xcfg));
-      AUTOMC_LOG(Info) << "generated " << experience.size()
-                       << " experience records";
-    }
-    // Accumulated search experience from earlier runs: every record the
-    // store held when it was opened becomes an extra NN_exp training pair.
-    // The cutoff is pinned in the checkpoint (sticky section) so a resumed
-    // run exports exactly the set its crashed original saw — records the
-    // crashed run appended must not alter the embeddings it learned.
-    if (options_.use_exp && options_.experience_store != nullptr) {
-      uint64_t export_limit =
-          static_cast<uint64_t>(options_.experience_store->loaded_size());
-      if (options_.checkpointer != nullptr) {
-        auto it = options_.checkpointer->pending().find("kg_export_limit");
-        if (it != options_.checkpointer->pending().end()) {
-          ByteReader r(it->second);
-          uint64_t pinned = 0;
-          if (!r.U64(&pinned)) {
-            return Status::InvalidArgument(
-                "corrupted kg_export_limit checkpoint section");
-          }
-          export_limit = pinned;
-        }
-        ByteWriter w;
-        w.U64(export_limit);
-        options_.checkpointer->SetStickySection("kg_export_limit", w.Take());
+    automc::ParallelFor(2, 1, [&](int64_t branch, int64_t) {
+      if (branch == 0) {
+        knowledge_status =
+            LearnEmbeddings(options_, space, &experience, &embeddings);
+      } else {
+        model_status = PretrainBase(task, &result);
       }
-      if (export_limit > 0) {
-        std::vector<store::ExperienceStep> steps =
-            options_.experience_store->ExportSteps(
-                search::SchemeEvaluator::SpaceFingerprint(space),
-                export_limit);
-        for (const store::ExperienceStep& step : steps) {
-          kg::ExperienceRecord rec;
-          rec.strategy_index = static_cast<size_t>(step.strategy);
-          rec.task_features = step.task_features;
-          rec.ar = step.ar_step;
-          rec.pr = step.pr_step;
-          experience.push_back(std::move(rec));
-        }
-        AUTOMC_LOG(Info) << "imported " << steps.size()
-                         << " experience steps from the store";
-      }
-    }
-    kg::StrategyEmbeddingLearner learner(space.strategies(), ecfg);
-    AUTOMC_RETURN_IF_ERROR(learner.Learn(experience));
-    embeddings.reserve(space.size());
-    for (size_t i = 0; i < space.size(); ++i) {
-      embeddings.push_back(learner.Embedding(i));
-    }
+    });
+  } else {
+    model_status = PretrainBase(task, &result);
   }
+  // Errors come back in stage order: pretraining's first.
+  AUTOMC_RETURN_IF_ERROR(model_status);
+  AUTOMC_RETURN_IF_ERROR(knowledge_status);
 
-  // 3. Search on a subsample of the training data (10% in the paper).
+  // 2. Search on a subsample of the training data (10% in the paper).
+  AUTOMC_SCOPED_TIMER("automc.search_ms");
   const SearchContext search_ctx(task, options_.seed, /*automc=*/true);
   search::SchemeEvaluator evaluator(&space, result.base_model.get(),
                                     search_ctx.ctx,

@@ -113,6 +113,11 @@ struct AutoMCResult {
   std::shared_ptr<nn::Model> winner_model;
 };
 
+// Pretrains the task's base model (PretrainModel) into result->base_model
+// and its test accuracy into result->base_accuracy: the first stage of every
+// search path, timed as automc.pretrain_ms.
+Status PretrainBase(const CompressionTask& task, AutoMCResult* result);
+
 // The pareto point a user would deploy, and the one a finished job
 // publishes: highest accuracy; ties broken by fewer parameters, then by
 // lowest index (all deterministic). kNotFound on an empty front.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "nn/trainer.h"
 #include "search/evolutionary.h"
 #include "search/random_search.h"
 #include "search/rl.h"
@@ -137,11 +136,7 @@ Result<AutoMCResult> RunSearch(const RunSpec& spec,
   }
 
   AutoMCResult result;
-  AUTOMC_ASSIGN_OR_RETURN(std::unique_ptr<nn::Model> pretrained,
-                          PretrainModel(task));
-  result.base_model = std::shared_ptr<nn::Model>(std::move(pretrained));
-  result.base_accuracy =
-      nn::Trainer::Evaluate(result.base_model.get(), task.data.test);
+  AUTOMC_RETURN_IF_ERROR(PretrainBase(task, &result));
 
   search::SearchSpace space = search::SearchSpace::FullTable1();
   const SearchContext search_ctx(task, spec.seed, /*automc=*/false);

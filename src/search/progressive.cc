@@ -5,6 +5,7 @@
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "search/pareto.h"
 #include "search/snapshot_util.h"
 
@@ -156,6 +157,7 @@ Result<SearchOutcome> ProgressiveSearcher::Search(SchemeEvaluator* evaluator,
           batch.push_back(warm_start_[static_cast<size_t>(
               s.rng.UniformInt(static_cast<int64_t>(warm_start_.size())))]);
         }
+        AUTOMC_SCOPED_TIMER("search.fmo_train_ms");
         s.fmo.TrainBatch(batch);
       }
       s.replay = warm_start_;
@@ -336,7 +338,10 @@ Result<SearchOutcome> ProgressiveSearcher::Search(SchemeEvaluator* evaluator,
       train_batch.push_back(s.replay[static_cast<size_t>(
           s.rng.UniformInt(static_cast<int64_t>(s.replay.size())))]);
     }
-    s.fmo.TrainBatch(train_batch);
+    {
+      AUTOMC_SCOPED_TIMER("search.fmo_train_ms");
+      s.fmo.TrainBatch(train_batch);
+    }
     AUTOMC_RETURN_IF_ERROR(CheckpointRound(this, evaluator, config));
   }
 

@@ -1,7 +1,12 @@
 #include <cmath>
 #include <cstdint>
+#include <iostream>
+#include <streambuf>
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/logging.h"
 #include "common/matrix.h"
 #include "common/result.h"
 #include "common/rng.h"
@@ -273,6 +278,39 @@ TEST(ByteReaderTest, HostileCountsFailCleanly) {
   ByteReader str(ints_and_str.str());
   std::string s;
   EXPECT_FALSE(str.Str(&s));
+}
+
+// --------------------------------------------------------------------------
+// Logging
+
+// Records every write a stream makes to it.
+class WriteRecorder : public std::streambuf {
+ public:
+  std::vector<std::string> writes;
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    writes.emplace_back(s, static_cast<size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      writes.emplace_back(1, traits_type::to_char_type(c));
+    }
+    return traits_type::not_eof(c);
+  }
+};
+
+// A line written in pieces can interleave with another thread's line.
+TEST(LoggingTest, EachLineIsOneWrite) {
+  WriteRecorder recorder;
+  std::streambuf* previous = std::cerr.rdbuf(&recorder);
+  AUTOMC_LOG(Warning) << "lane " << 3 << " done";
+  std::cerr.rdbuf(previous);
+  ASSERT_EQ(recorder.writes.size(), 1u);
+  const std::string& line = recorder.writes[0];
+  EXPECT_NE(line.find("lane 3 done"), std::string::npos) << line;
+  EXPECT_EQ(line.back(), '\n');
 }
 
 }  // namespace

@@ -77,6 +77,25 @@ TEST(AutoMCTest, FullPipelineRuns) {
   }
 }
 
+// Pretraining and experience generation run side by side, but a run that
+// fails in both reports pretraining's error, the earlier stage.
+TEST(AutoMCTest, PretrainingErrorTakesPrecedence) {
+  AutoMCOptions opts = TinyOptions();
+  opts.experience.num_tasks = 0;  // generates no records: kInternal
+
+  CompressionTask bad_family = TinyTask();
+  bad_family.model_spec.family = "mlp";
+  auto both = AutoMC(opts).Run(bad_family);
+  ASSERT_FALSE(both.ok());
+  EXPECT_EQ(both.status().code(), StatusCode::kInvalidArgument)
+      << both.status().ToString();
+
+  auto experience_only = AutoMC(opts).Run(TinyTask());
+  ASSERT_FALSE(experience_only.ok());
+  EXPECT_EQ(experience_only.status().code(), StatusCode::kInternal)
+      << experience_only.status().ToString();
+}
+
 struct AblationCase {
   const char* name;
   bool use_kg, use_exp, multi_source, progressive;

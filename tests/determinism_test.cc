@@ -5,13 +5,18 @@
 // 1-lane and a 4-lane global pool and compares with EXPECT_EQ, never
 // EXPECT_NEAR.
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "core/run_spec.h"
 #include "gtest/gtest.h"
+#include "nn/serialize.h"
 #include "nn/trainer.h"
 #include "search/progressive.h"
+#include "search/report.h"
 #include "search/rl.h"
 
 namespace automc {
@@ -155,6 +160,36 @@ TEST(DeterminismTest, RlSearchArchiveIsThreadCountInvariant) {
   SearchOutcome quad = RunRl(4);
   EXPECT_EQ(serial.executions, quad.executions);
   EXPECT_EQ(serial.pareto_schemes, quad.pareto_schemes);
+}
+
+// A whole AutoMC run: pretraining and embedding learning share the pool,
+// then the progressive search runs. The outcome and the winner's model must
+// match byte for byte.
+std::pair<std::string, std::string> RunAutoMC(int threads) {
+  PoolGuard guard(threads);
+  core::RunSpec spec;
+  spec.dataset = "tiny";
+  spec.searcher = "automc";
+  spec.budget = 3;
+  spec.pretrain = 1;
+  spec.seed = 17;
+  const core::CompressionTask task = core::MakeTask(spec);
+  auto result = core::RunSearch(spec, task);
+  AUTOMC_CHECK(result.ok()) << result.status().ToString();
+  auto winner = core::WinningModel(spec, task, *result);
+  AUTOMC_CHECK(winner.ok()) << winner.status().ToString();
+  std::ostringstream model;
+  AUTOMC_CHECK(nn::SerializeModel(winner->get(), &model).ok());
+  return {SaveOutcomeBytes(result->outcome), model.str()};
+}
+
+TEST(DeterminismTest, AutoMCRunIsThreadCountInvariant) {
+  auto [outcome1, model1] = RunAutoMC(1);
+  auto [outcome4, model4] = RunAutoMC(4);
+  EXPECT_FALSE(outcome1.empty());
+  EXPECT_TRUE(outcome1 == outcome4);
+  EXPECT_FALSE(model1.empty());
+  EXPECT_TRUE(model1 == model4);
 }
 
 }  // namespace
