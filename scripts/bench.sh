@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# Kernel + end-to-end benchmark driver. Builds the Release tree, runs the
-# micro_substrate kernel benchmarks against the retained serial reference
-# kernels (same binary) at AUTOMC_THREADS=1 and AUTOMC_THREADS=4, times the
-# fig4_search_curves end-to-end search at both thread counts, and writes
-# BENCH_kernels.json at the repo root.
+# Kernel and load benchmark driver (perfbench/ is the end-to-end benchmark).
+# Builds the Release tree and runs two gated sections:
+#   kernels  micro_substrate kernels vs the retained serial reference kernels
+#            (same binary) at AUTOMC_THREADS=1 and 4, plus fig4_search_curves
+#            end to end at both thread counts -> BENCH_kernels.json
+#   load     load_replay against a single server and a 2-worker fleet
+#            -> BENCH_load.json
 #
 # Usage:
-#   scripts/bench.sh              # full run (includes two ~minutes-long
+#   scripts/bench.sh              # both sections (includes two ~minutes-long
 #                                 # end-to-end search passes)
-#   AUTOMC_BENCH_SKIP_E2E=1 scripts/bench.sh   # kernels only
-#   AUTOMC_BENCH_SECTIONS=eval scripts/bench.sh   # regenerate one BENCH_*.json
-#       (comma-separated subset of: kernels, eval, server, fleet, load)
+#   AUTOMC_BENCH_SKIP_E2E=1 scripts/bench.sh   # without the e2e search passes
+#   AUTOMC_BENCH_SECTIONS=load scripts/bench.sh   # regenerate one BENCH_*.json
+#       (comma-separated subset of: kernels, load)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,14 +21,11 @@ BUILD_DIR="${AUTOMC_BENCH_BUILD_DIR:-build}"
 OUT_JSON="BENCH_kernels.json"
 FILTER='BM_MatMul|BM_MatMulRef|BM_GemmConvShape|BM_MatrixMultiply|BM_Conv2dForward|BM_Conv2dForwardRef|BM_Conv2dBackward|BM_Conv2dBackwardRef|BM_ParallelForOverhead|BM_FmoPredict'
 
-SECTIONS="${AUTOMC_BENCH_SECTIONS:-kernels,eval,server,fleet,load}"
+SECTIONS="${AUTOMC_BENCH_SECTIONS:-kernels,load}"
 want() { [[ ",${SECTIONS}," == *",$1,"* ]]; }
 
 targets=()
 want kernels && targets+=(micro_substrate fig4_search_curves)
-want eval && targets+=(batch_eval)
-want server && targets+=(server_throughput)
-want fleet && targets+=(fleet_throughput automc_serve)
 want load && targets+=(load_replay automc_serve)
 if [[ ${#targets[@]} -eq 0 ]]; then
   echo "AUTOMC_BENCH_SECTIONS=${SECTIONS} selects no section" >&2
@@ -193,138 +192,6 @@ print(f"wrote {out_path}")
 PY
 
 fi  # kernels
-
-if want eval; then
-
-# Batched scheme evaluation: one 16-candidate round, serial Evaluate loop vs
-# EvaluateBatch, at both thread counts. The binary exits non-zero unless the
-# two runs are bit-identical, so a BENCH_eval.json always describes a
-# result-preserving speedup (or, on a single-core machine, the overhead).
-echo "== batch_eval, AUTOMC_THREADS=1 =="
-AUTOMC_THREADS=1 "${BUILD_DIR}/bench/batch_eval" | tee "${tmpdir}/eval_t1.json"
-echo "== batch_eval, AUTOMC_THREADS=4 =="
-AUTOMC_THREADS=4 "${BUILD_DIR}/bench/batch_eval" | tee "${tmpdir}/eval_t4.json"
-
-python3 - "${tmpdir}/eval_t1.json" "${tmpdir}/eval_t4.json" BENCH_eval.json <<'PY'
-import json, os, sys
-
-t1_path, t4_path, out_path = sys.argv[1:4]
-with open(t1_path) as f:
-    t1 = json.load(f)
-with open(t4_path) as f:
-    t4 = json.load(f)
-
-report = {
-    "machine": {"nproc": os.cpu_count()},
-    "note": (
-        "One 16-candidate evaluation round: the serial Evaluate loop vs "
-        "EvaluateBatch, which speculates disjoint scheme subtrees on the "
-        "thread pool and commits serially for bit-identical results (the "
-        "binary verifies identity before reporting). Expected speedup "
-        "approaches min(nproc, parallel_subtrees). Model snapshots are "
-        "copy-on-write tensor aliases, so the speculative phase's cloning "
-        "is O(1) per node; before COW landed, eager deep clones made the "
-        "t1 ratio an overhead measurement (0.785 at threads=1, 0.904 at "
-        "threads=4 on this machine) rather than a speedup."
-    ),
-    "batch_vs_serial": {"t1": t1, "t4": t4},
-}
-with open(out_path, "w") as f:
-    json.dump(report, f, indent=2)
-    f.write("\n")
-print("wrote BENCH_eval.json")
-PY
-
-fi  # eval
-
-if want server; then
-
-# Search-as-a-service: status-poll throughput against a live automc_serve
-# job manager (idle and while a job occupies the only slot), plus the
-# wall-clock to drain a 4-job batch with 1 vs 2 job slots. The binary exits
-# non-zero unless every served outcome is bit-identical to a direct
-# in-process RunSearch of the same spec.
-echo "== server_throughput, AUTOMC_THREADS=1 =="
-AUTOMC_THREADS=1 "${BUILD_DIR}/bench/server_throughput" | tee "${tmpdir}/server.json"
-
-python3 - "${tmpdir}/server.json" BENCH_server.json <<'PY'
-import json, os, sys
-
-in_path, out_path = sys.argv[1:3]
-with open(in_path) as f:
-    measured = json.load(f)
-
-report = {
-    "machine": {"nproc": os.cpu_count()},
-    "note": (
-        "automc_serve over a unix-domain socket: synchronous JobStatus "
-        "round-trips per second from one client connection (idle server vs "
-        "one job running -- control traffic must not queue behind job "
-        "execution), and the wall-clock to drain the same 4 tiny search "
-        "jobs with 1 vs 2 job slots. The harness exits non-zero unless "
-        "every served outcome is bit-identical to a direct in-process "
-        "RunSearch, so a reported speedup is always result-preserving. On "
-        "a single-core machine the 2-slot drain shows contention, not "
-        "speedup."
-    ),
-    "server": measured,
-}
-with open(out_path, "w") as f:
-    json.dump(report, f, indent=2)
-    f.write("\n")
-print("wrote BENCH_server.json")
-PY
-
-fi  # server
-
-if want fleet; then
-
-# Fleet subsystem: epoll idle-connection poll throughput (1 active
-# connection vs the same plus 1000 parked idle ones -- idle sockets raise
-# no epoll events, so the gate is within 2x) and the wall-clock to drain a
-# 4-job batch through a coordinator with 1 vs 2 forked workers over TCP.
-# The harness exits non-zero unless every sharded outcome is bit-identical
-# to a direct in-process RunSearch.
-echo "== fleet_throughput, AUTOMC_THREADS=1 =="
-AUTOMC_THREADS=1 AUTOMC_SERVE_BIN="${BUILD_DIR}/examples/automc_serve" \
-  "${BUILD_DIR}/bench/fleet_throughput" | tee "${tmpdir}/fleet.json"
-
-python3 - "${tmpdir}/fleet.json" BENCH_server.json <<'PY'
-import json, os, sys
-
-in_path, out_path = sys.argv[1:3]
-with open(in_path) as f:
-    measured = json.load(f)
-
-slowdown = measured.get("idle_conn_slowdown", 0.0)
-if slowdown > 2.0:
-    sys.exit(f"fleet gate failed: 1000 idle connections slowed polling "
-             f"{slowdown:.2f}x (must stay within 2x)")
-
-try:
-    with open(out_path) as f:
-        report = json.load(f)
-except (FileNotFoundError, json.JSONDecodeError):
-    report = {"machine": {"nproc": os.cpu_count()}}
-report["fleet_note"] = (
-    "fleet subsystem: JobStatus round-trips per second through the epoll "
-    "event loop with one connection vs with 1000 extra idle connections "
-    "parked on the listener (idle sockets raise no events; the gate is "
-    "within 2x), and the wall-clock to drain the same 4 tiny search jobs "
-    "through a coordinator sharding across 1 vs 2 forked worker processes "
-    "over the TCP transport. The harness exits non-zero unless every "
-    "sharded outcome is bit-identical to a direct in-process RunSearch. "
-    "On a single-core machine the 2-worker drain shows contention, not "
-    "speedup."
-)
-report["fleet"] = measured
-with open(out_path, "w") as f:
-    json.dump(report, f, indent=2)
-    f.write("\n")
-print("updated BENCH_server.json (fleet section)")
-PY
-
-fi  # fleet
 
 if want load; then
 

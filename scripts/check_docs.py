@@ -6,14 +6,23 @@
    a heading in that file). External schemes (http/https/mailto) are not
    fetched.
 2. Knob coverage: every quoted "AUTOMC_*" string appearing in src/,
-   examples/, bench/, or scripts/ must be mentioned in
+   examples/, bench/, scripts/ or tests/ must be mentioned in
    docs/configuration.md — the authoritative knob table — so a new env
-   variable cannot ship undocumented. (Macro identifiers and header-guard
-   tokens are not quoted strings and are therefore out of scope.)
+   variable cannot ship undocumented, and every knob row of that table must
+   name a knob something there still reads. (Macro identifiers and
+   header-guard tokens are not quoted strings and are therefore out of
+   scope.)
 3. Metric coverage: every name passed to AUTOMC_METRIC_COUNT/GAUGE/OBSERVE
    or AUTOMC_SCOPED_TIMER in src/ must appear in backticks in
    docs/observability.md. The macros accept string literals only, so the
    scan sees every recorded name.
+4. Repo paths: every backticked path under bench/, scripts/, src/, tests/
+   or examples/, and every root BENCH_*.json, named in a .md file must
+   exist, as named or with a .cc, .h or .cpp suffix (docs name binaries
+   such as bench/load_replay and stems such as src/common/metrics).
+   At the repo root only README.md, DESIGN.md and EXPERIMENTS.md, which
+   describe the tree, are checked; the other root .md files (changelog,
+   roadmap, paper notes) record history or outside code and are skipped.
 
 Exits non-zero with one line per violation.
 """
@@ -30,6 +39,15 @@ QUOTED_KNOB_RE = re.compile(r'"(AUTOMC_[A-Z][A-Z0-9_]*)"')
 METRIC_SITE_RE = re.compile(
     r'AUTOMC_(?:METRIC_(?:COUNT|GAUGE|OBSERVE)|SCOPED_TIMER)\(\s*"([^"]+)"')
 SKIP_DIRS = {".git", "build", "build-san", "third_party", ".claude"}
+KNOB_DIRS = ("src", "examples", "bench", "scripts", "tests")
+# A knob table runs from its `| Variable |` header to the first blank line.
+KNOB_TABLE_RE = re.compile(r"^\| Variable \|.*?(?:\n\n|\Z)", re.M | re.S)
+KNOB_ROW_RE = re.compile(r"^\| `(AUTOMC_[A-Z][A-Z0-9_]*)`", re.M)
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+REPO_PATH_RE = re.compile(
+    r"(?<![\w./-])(?:\./)?((?:bench|scripts|src|tests|examples)/[\w./-]*\w"
+    r"|BENCH_\w+\.json)")
+TREE_ROOT_MD = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 
 def markdown_files():
@@ -83,17 +101,10 @@ def check_links():
     return errors
 
 
-def check_knobs():
-    config_doc = os.path.join(REPO, "docs", "configuration.md")
-    if not os.path.exists(config_doc):
-        return ["docs/configuration.md is missing"]
-    with open(config_doc, encoding="utf-8") as f:
-        documented = set(QUOTED_KNOB_RE.findall(f.read()))
-        f.seek(0)
-        documented |= set(re.findall(r"`(AUTOMC_[A-Z][A-Z0-9_]*)`", f.read()))
-
-    errors = []
-    for sub in ("src", "examples", "bench", "scripts"):
+def knobs_read():
+    """Every AUTOMC_* knob the code reads -> the files that read it."""
+    reads = {}
+    for sub in KNOB_DIRS:
         for root, dirs, files in os.walk(os.path.join(REPO, sub)):
             dirs[:] = [d for d in dirs if d not in SKIP_DIRS]
             for name in files:
@@ -107,10 +118,31 @@ def check_knobs():
                 if name.endswith(".sh"):
                     hits |= set(
                         re.findall(r"\$\{(AUTOMC_[A-Z][A-Z0-9_]*)", content))
-                for knob in sorted(hits - documented):
-                    errors.append(
-                        f"{os.path.relpath(path, REPO)}: {knob} not in "
-                        "docs/configuration.md")
+                for knob in hits:
+                    reads.setdefault(knob, []).append(
+                        os.path.relpath(path, REPO))
+    return reads
+
+
+def check_knobs():
+    config_doc = os.path.join(REPO, "docs", "configuration.md")
+    if not os.path.exists(config_doc):
+        return ["docs/configuration.md is missing"]
+    with open(config_doc, encoding="utf-8") as f:
+        content = f.read()
+    documented = set(QUOTED_KNOB_RE.findall(content))
+    documented |= set(re.findall(r"`(AUTOMC_[A-Z][A-Z0-9_]*)`", content))
+
+    errors = []
+    reads = knobs_read()
+    for knob in sorted(set(reads) - documented):
+        for path in sorted(reads[knob]):
+            errors.append(f"{path}: {knob} not in docs/configuration.md")
+    for table in KNOB_TABLE_RE.findall(content):
+        for knob in KNOB_ROW_RE.findall(table):
+            if knob not in reads:
+                errors.append(f"docs/configuration.md: row for {knob}, which "
+                              f"nothing in {', '.join(KNOB_DIRS)} reads")
     return errors
 
 
@@ -136,15 +168,32 @@ def check_metrics():
     return errors
 
 
+def check_paths():
+    errors = []
+    for md in markdown_files():
+        rel_md = os.path.relpath(md, REPO)
+        if os.sep not in rel_md and rel_md not in TREE_ROOT_MD:
+            continue
+        with open(md, encoding="utf-8") as f:
+            prose = re.sub(r"```.*?```", "", f.read(), flags=re.DOTALL)
+        for span in CODE_SPAN_RE.findall(prose):
+            for path in REPO_PATH_RE.findall(span):
+                full = os.path.join(REPO, path)
+                if not any(os.path.exists(full + ext)
+                           for ext in ("", ".cc", ".h", ".cpp")):
+                    errors.append(f"{rel_md}: stale path `{path}`")
+    return errors
+
+
 def main():
-    errors = check_links() + check_knobs() + check_metrics()
+    errors = check_links() + check_knobs() + check_metrics() + check_paths()
     for e in errors:
         print(f"doc-check: {e}", file=sys.stderr)
     if errors:
         print(f"doc-check: {len(errors)} problem(s)", file=sys.stderr)
         return 1
-    print("doc-check: all markdown links, AUTOMC_* knobs and metric names "
-          "check out")
+    print("doc-check: all markdown links, AUTOMC_* knobs, metric names and "
+          "repo paths check out")
     return 0
 
 

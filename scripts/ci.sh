@@ -33,7 +33,8 @@ run_suite() {
 }
 
 echo "== doc check =="
-# Dead intra-repo markdown links/anchors and undocumented AUTOMC_* knobs
+# Dead intra-repo markdown links/anchors, stale backticked repo paths,
+# undocumented AUTOMC_* knobs and knob rows nothing reads
 # (docs/configuration.md is the authoritative table) fail the build.
 python3 scripts/check_docs.py
 

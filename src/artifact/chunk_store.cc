@@ -298,7 +298,7 @@ Result<uint64_t> ChunkStore::CollectGarbage(
   uint64_t reclaimed = 0;
   auto abort_gc = [&](Status why) -> Status {
     for (uint32_t id = first_new; id <= writer.id(); ++id) {
-      ::unlink((dir_ + "/packs/" + PackName(id)).c_str());
+      durable::RemoveFile(dir_ + "/packs/" + PackName(id));
     }
     return why;
   };
@@ -329,7 +329,7 @@ Result<uint64_t> ChunkStore::CollectGarbage(
   // *old* index can still serve from them until they refresh, which is why
   // deletion comes last (an in-flight GetChunk re-probes after a miss).
   for (const durable::MmapHashIndex::File& file : old.files) {
-    ::unlink((dir_ + "/packs/" + file.name).c_str());
+    AUTOMC_RETURN_IF_ERROR(durable::RemoveFile(dir_ + "/packs/" + file.name));
   }
   AUTOMC_METRIC_COUNT("artifact.gc_runs");
   AUTOMC_METRIC_COUNT("artifact.gc_reclaimed_bytes",

@@ -86,7 +86,8 @@ class ChunkStore {
   // place. Returns the payload bytes reclaimed. Every surviving chunk is
   // re-verified on the way through; a corrupt *live* chunk aborts the GC
   // with kDataLoss and leaves the store untouched (a corrupt dead chunk is
-  // simply dropped). Metric artifact.gc_reclaimed_bytes.
+  // simply dropped). An old pack that cannot be deleted durably fails the
+  // GC after the new index is in place. Metric artifact.gc_reclaimed_bytes.
   Result<uint64_t> CollectGarbage(const std::set<Sha256Digest>& live);
 
   size_t chunk_size() const { return chunk_size_; }

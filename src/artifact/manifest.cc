@@ -1,7 +1,6 @@
 #include "artifact/manifest.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 
 #include "common/bytes.h"
@@ -186,10 +185,11 @@ Status Registry::Remove(const std::string& name) {
   if (!ValidArtifactName(name)) {
     return Status::InvalidArgument("invalid artifact name '" + name + "'");
   }
-  if (std::remove(ManifestPath(name).c_str()) != 0) {
+  Status st = durable::RemoveFile(ManifestPath(name));
+  if (st.code() == StatusCode::kNotFound) {
     return Status::NotFound("no artifact '" + name + "'");
   }
-  return Status::OK();
+  return st;
 }
 
 Result<uint64_t> Registry::CollectGarbage() {

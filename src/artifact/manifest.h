@@ -77,7 +77,8 @@ class Registry {
   // if another manifest references them).
   std::vector<Manifest> List();
 
-  // Deletes the manifest only; chunk bytes persist until CollectGarbage.
+  // Deletes the manifest only, durably; chunk bytes persist until
+  // CollectGarbage.
   Status Remove(const std::string& name);
 
   // Drops every chunk not referenced by any remaining manifest.

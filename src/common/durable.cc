@@ -109,7 +109,7 @@ Status SyncFd(int fd, const std::string& path) {
   return ::fsync(fd) == 0 ? Status::OK() : Failed("fsync " + path);
 }
 
-// Makes the directory entry of `path` (a create or replace) durable.
+// Makes the directory entry of `path` (a create, replace or delete) durable.
 Status SyncDirOf(const std::string& path) {
   AUTOMC_RETURN_IF_ERROR(Gated(fault::Op::kSyncDir, path));
   const size_t slash = path.rfind('/');
@@ -186,6 +186,15 @@ Status AtomicWriteFile(const std::string& path,
 Status AtomicWriteFile(const std::string& path, std::string_view bytes) {
   return AtomicWriteFile(
       path, [bytes](const ByteSink& sink) { return sink(bytes); });
+}
+
+Status RemoveFile(const std::string& path) {
+  AUTOMC_RETURN_IF_ERROR(Gated(fault::Op::kUnlink, path));
+  if (::unlink(path.c_str()) != 0) {
+    if (errno == ENOENT) return Status::NotFound(path + " does not exist");
+    return Failed("cannot remove " + path);
+  }
+  return SyncDirOf(path);
 }
 
 Status WriteSealedFile(const std::string& path, std::string_view header,

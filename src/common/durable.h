@@ -42,6 +42,11 @@ Status AtomicWriteFile(const std::string& path, std::string_view bytes);
 Status AtomicWriteFile(const std::string& path,
                        const std::function<Status(const ByteSink&)>& produce);
 
+// Deletes `path`, then syncs its directory: POSIX makes an unlink durable
+// only once the directory is synced, so without it a deleted file can come
+// back after a power loss. kNotFound when `path` does not exist.
+Status RemoveFile(const std::string& path);
+
 // Sealed blob files: a fixed header, then the body under a CRC.
 //   header | u32 crc32(body) | body
 // Job spec.bin / outcome.bin and artifact .mf manifests use a 4-byte magic
@@ -236,7 +241,9 @@ class MmapHashIndex {
 // would. Disarmed, the seam records and fails nothing.
 namespace fault {
 
-enum class Op { kCreate, kWrite, kSync, kRename, kSyncDir, kTruncate };
+enum class Op {
+  kCreate, kWrite, kSync, kRename, kSyncDir, kTruncate, kUnlink
+};
 struct OpRecord {
   Op op;
   std::string path;  // the file served (a replace's target, not its temp)

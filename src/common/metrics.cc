@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "common/logging.h"
@@ -51,15 +52,17 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-// 12 significant digits, the same bytes an ostream at precision 12 prints,
-// without building a stream per number: an export prints thousands.
+// 12 significant digits: the bytes of printf's "%.12g" (and of an ostream
+// at precision 12), which std::to_chars produces without parsing a format.
 std::string JsonDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
   // JSON has no inf/nan literals; clamp to null-safe sentinels.
-  if (std::strstr(buf, "inf") != nullptr) return v > 0 ? "1e308" : "-1e308";
-  if (std::strstr(buf, "nan") != nullptr) return "0";
-  return buf;
+  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";
+  if (std::isnan(v)) return "0";
+  char buf[32];
+  char* end =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 12)
+          .ptr;
+  return std::string(buf, end);
 }
 
 }  // namespace
@@ -76,6 +79,10 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   if (bounds_.empty()) bounds_ = DefaultBounds();
   std::sort(bounds_.begin(), bounds_.end());
   counts_.assign(bounds_.size() + 1, 0);
+  for (double bound : bounds_) {
+    bucket_json_.push_back("{\"le\": " + JsonDouble(bound) + ", \"count\": ");
+  }
+  bucket_json_.push_back("{\"le\": \"inf\", \"count\": ");
 }
 
 std::vector<double> Histogram::DefaultBounds() {
@@ -213,13 +220,9 @@ std::string MetricsRegistry::ToJson() const {
        << ", \"min\": " << JsonDouble(h.min())
        << ", \"max\": " << JsonDouble(h.max())
        << ", \"mean\": " << JsonDouble(h.mean()) << ", \"buckets\": [";
-    const std::vector<double>& bounds = h.bounds();
-    std::vector<int64_t> counts = h.bucket_counts();
+    const std::vector<int64_t> counts = h.bucket_counts();
     for (size_t i = 0; i < counts.size(); ++i) {
-      if (i) os << ", ";
-      os << "{\"le\": "
-         << (i < bounds.size() ? JsonDouble(bounds[i]) : "\"inf\"")
-         << ", \"count\": " << counts[i] << "}";
+      os << (i ? ", " : "") << h.bucket_json_[i] << counts[i] << "}";
     }
     os << "]}";
     first = false;

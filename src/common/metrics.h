@@ -95,6 +95,9 @@ class Histogram {
   friend class MetricsRegistry;
   mutable std::mutex mu_;
   std::vector<double> bounds_;
+  // Each bucket's `{"le": <bound>, "count": ` export prefix. The bounds
+  // never change, so they are formatted once, not on every export.
+  std::vector<std::string> bucket_json_;
   std::vector<int64_t> counts_;
   int64_t count_ = 0;
   double sum_ = 0.0;

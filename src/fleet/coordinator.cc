@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -26,9 +27,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using server::ErrorFrame;
 using server::Frame;
 using server::JobInfo;
 using server::MsgType;
+using server::ReplyFrame;
 
 // One bounded retry window across a worker respawn. Long enough for the
 // monitor to notice the death (50ms poll) and the replacement to finish
@@ -41,20 +44,6 @@ int WorkersFromEnv() {
   if (env == nullptr || *env == '\0') return 2;
   int v = std::atoi(env);
   return v > 0 ? v : 2;
-}
-
-Frame ErrorFrame(const Status& status) {
-  Frame f;
-  f.type = static_cast<uint32_t>(MsgType::kError);
-  f.payload = server::EncodeError(status);
-  return f;
-}
-
-Frame ReplyFrame(MsgType type, std::string payload) {
-  Frame f;
-  f.type = static_cast<uint32_t>(type);
-  f.payload = std::move(payload);
-  return f;
 }
 
 Status Errno(const std::string& what) {
@@ -120,26 +109,9 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Start(Options options) {
   // dirs, so the max over every worker's job list is the high-water mark.
   uint64_t max_id = 0;
   for (size_t i = 0; i < coord->slots_.size(); ++i) {
-    Result<Frame> reply = coord->Call(i, MsgType::kListJobs, "");
-    if (!reply.ok()) return reply.status();
-    if (reply->type != static_cast<uint32_t>(MsgType::kJobList)) {
-      return Status::Internal("worker " + std::to_string(i + 1) +
-                              " failed to list jobs during recovery");
-    }
-    ByteReader r(reply->payload);
-    uint32_t count = 0;
-    if (!r.U32(&count)) {
-      return Status::Internal("malformed job list from worker " +
-                              std::to_string(i + 1));
-    }
-    for (uint32_t j = 0; j < count; ++j) {
-      JobInfo info;
-      if (!server::DecodeJobInfo(&r, &info)) {
-        return Status::Internal("malformed job list from worker " +
-                                std::to_string(i + 1));
-      }
-      if (info.id > max_id) max_id = info.id;
-    }
+    AUTOMC_ASSIGN_OR_RETURN(std::vector<JobInfo> jobs,
+                            coord->ListWorkerJobs(i));
+    for (const JobInfo& info : jobs) max_id = std::max(max_id, info.id);
   }
   coord->next_id_ = max_id + 1;
   return coord;
@@ -249,6 +221,18 @@ Result<Frame> Coordinator::Call(size_t slot_idx, MsgType type,
   }
 }
 
+Result<std::vector<JobInfo>> Coordinator::ListWorkerJobs(size_t slot) {
+  AUTOMC_ASSIGN_OR_RETURN(Frame reply, Call(slot, MsgType::kListJobs, ""));
+  if (reply.type == static_cast<uint32_t>(MsgType::kError)) {
+    return server::DecodeError(reply.payload);
+  }
+  if (reply.type != static_cast<uint32_t>(MsgType::kJobList)) {
+    return Status::Internal("worker " + std::to_string(slot + 1) +
+                            " did not list its jobs");
+  }
+  return server::DecodeJobList(reply.payload);
+}
+
 Frame Coordinator::Handle(uint64_t client, const Frame& request) {
   (void)client;
   switch (static_cast<MsgType>(request.type)) {
@@ -293,25 +277,9 @@ Frame Coordinator::Handle(uint64_t client, const Frame& request) {
       // Fan out and merge by id — the client sees one job namespace.
       std::map<uint64_t, JobInfo> merged;
       for (size_t i = 0; i < slots_.size(); ++i) {
-        Result<Frame> reply = Call(i, MsgType::kListJobs, "");
-        if (!reply.ok()) return ErrorFrame(reply.status());
-        if (reply->type != static_cast<uint32_t>(MsgType::kJobList)) {
-          return *std::move(reply);  // propagate the worker's error
-        }
-        ByteReader r(reply->payload);
-        uint32_t count = 0;
-        if (!r.U32(&count)) {
-          return ErrorFrame(Status::Internal("malformed job list from worker " +
-                                             std::to_string(i + 1)));
-        }
-        for (uint32_t j = 0; j < count; ++j) {
-          JobInfo info;
-          if (!server::DecodeJobInfo(&r, &info)) {
-            return ErrorFrame(Status::Internal(
-                "malformed job list from worker " + std::to_string(i + 1)));
-          }
-          merged.emplace(info.id, std::move(info));
-        }
+        Result<std::vector<JobInfo>> jobs = ListWorkerJobs(i);
+        if (!jobs.ok()) return ErrorFrame(jobs.status());
+        for (JobInfo& info : *jobs) merged.emplace(info.id, std::move(info));
       }
       ByteWriter w;
       w.U32(static_cast<uint32_t>(merged.size()));

@@ -108,6 +108,8 @@ class Coordinator : public RequestHandler {
   // an error *reply* is returned as-is.
   Result<server::Frame> Call(size_t slot, server::MsgType type,
                              std::string_view payload);
+  // A worker's jobs; its error reply comes back as the status.
+  Result<std::vector<server::JobInfo>> ListWorkerJobs(size_t slot);
   void MonitorLoop();
   size_t SlotOf(uint64_t job_id) const {
     return static_cast<size_t>((job_id - 1) % slots_.size());

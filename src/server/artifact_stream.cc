@@ -10,13 +10,6 @@ namespace server {
 
 namespace {
 
-Frame MakeFrame(MsgType type, std::string payload) {
-  Frame f;
-  f.type = static_cast<uint32_t>(type);
-  f.payload = std::move(payload);
-  return f;
-}
-
 // Stream state machine: Start -> Chunks... -> End. Any failure emits one
 // kError frame and jumps to Done; the client treats a mid-stream kError as
 // the end of the (discarded) stream, and framing stays intact for the next
@@ -46,7 +39,7 @@ class ModelStream : public fleet::ReplyStream {
         AUTOMC_METRIC_COUNT("server.model_streams");
         ByteWriter w;
         EncodeArtifactInfo(InfoFromManifest(manifest_), &w);
-        *out = MakeFrame(MsgType::kModelStart, w.Take());
+        *out = ReplyFrame(MsgType::kModelStart, w.Take());
         stage_ = Stage::kChunks;
         return true;
       }
@@ -55,7 +48,7 @@ class ModelStream : public fleet::ReplyStream {
           ByteWriter w;
           w.U64(manifest_.total_size);
           w.Raw(manifest_.blob_digest.data(), manifest_.blob_digest.size());
-          *out = MakeFrame(MsgType::kModelEnd, w.Take());
+          *out = ReplyFrame(MsgType::kModelEnd, w.Take());
           stage_ = Stage::kDone;
           return true;
         }
@@ -65,7 +58,7 @@ class ModelStream : public fleet::ReplyStream {
         ++next_chunk_;
         AUTOMC_METRIC_COUNT("server.model_bytes_sent",
                             static_cast<int64_t>(chunk->size()));
-        *out = MakeFrame(MsgType::kModelChunk, *std::move(chunk));
+        *out = ReplyFrame(MsgType::kModelChunk, *std::move(chunk));
         return true;
       }
       case Stage::kDone:
@@ -79,7 +72,7 @@ class ModelStream : public fleet::ReplyStream {
 
   bool Fail(Frame* out, const Status& status) {
     AUTOMC_METRIC_COUNT("server.model_stream_errors");
-    *out = MakeFrame(MsgType::kError, EncodeError(status));
+    *out = ErrorFrame(status);
     stage_ = Stage::kDone;
     return true;
   }
@@ -116,9 +109,7 @@ std::unique_ptr<fleet::ReplyStream> MakeModelStream(
 
 Frame ArtifactListReply(artifact::Registry* registry) {
   if (registry == nullptr) {
-    return MakeFrame(MsgType::kError,
-                     EncodeError(Status::FailedPrecondition(
-                         "no artifact registry")));
+    return ErrorFrame(Status::FailedPrecondition("no artifact registry"));
   }
   const std::vector<artifact::Manifest> manifests = registry->List();
   ByteWriter w;
@@ -126,7 +117,7 @@ Frame ArtifactListReply(artifact::Registry* registry) {
   for (const artifact::Manifest& m : manifests) {
     EncodeArtifactInfo(InfoFromManifest(m), &w);
   }
-  return MakeFrame(MsgType::kArtifactList, w.Take());
+  return ReplyFrame(MsgType::kArtifactList, w.Take());
 }
 
 }  // namespace server

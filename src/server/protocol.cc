@@ -262,6 +262,17 @@ Status DecodeError(std::string_view payload) {
   return Status(static_cast<StatusCode>(code), std::move(message));
 }
 
+Frame ReplyFrame(MsgType type, std::string payload) {
+  Frame f;
+  f.type = static_cast<uint32_t>(type);
+  f.payload = std::move(payload);
+  return f;
+}
+
+Frame ErrorFrame(const Status& status) {
+  return ReplyFrame(MsgType::kError, EncodeError(status));
+}
+
 void EncodeArtifactInfo(const ArtifactInfo& info, ByteWriter* w) {
   w->Str(info.name);
   w->U64(info.total_size);
@@ -390,10 +401,14 @@ Result<std::vector<T>> DecodeList(std::string_view payload,
 
 }  // namespace
 
+Result<std::vector<JobInfo>> DecodeJobList(std::string_view payload) {
+  return DecodeList(payload, DecodeJobInfo, "job list");
+}
+
 Result<std::vector<JobInfo>> Client::ListJobs() {
   AUTOMC_ASSIGN_OR_RETURN(
       Frame reply, ExpectType(Call(MsgType::kListJobs, {}), MsgType::kJobList));
-  return DecodeList(reply.payload, DecodeJobInfo, "job list");
+  return DecodeJobList(reply.payload);
 }
 
 Result<std::string> Client::FetchOutcomeBytes(uint64_t id) {

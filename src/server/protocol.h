@@ -138,10 +138,17 @@ struct JobInfo {
 
 void EncodeJobInfo(const JobInfo& info, ByteWriter* w);
 bool DecodeJobInfo(ByteReader* r, JobInfo* info);
+// A kJobList payload, decoded entry by entry (the declared count never
+// sizes memory); a short entry or trailing bytes are kInternal.
+Result<std::vector<JobInfo>> DecodeJobList(std::string_view payload);
 
 // Error-frame payload <-> Status.
 std::string EncodeError(const Status& status);
 Status DecodeError(std::string_view payload);
+
+// The reply frames request handlers answer with.
+Frame ReplyFrame(MsgType type, std::string payload);
+Frame ErrorFrame(const Status& status);  // kError carrying `status`
 
 // One published model artifact as seen on the wire (a Manifest minus the
 // chunk digests, which are a storage detail the client never needs).

@@ -26,24 +26,6 @@ Result<uint64_t> DecodeIdPayload(std::string_view payload) {
   return id;
 }
 
-Frame ErrorFrame(const Status& status) {
-  Frame f;
-  f.type = static_cast<uint32_t>(MsgType::kError);
-  f.payload = EncodeError(status);
-  return f;
-}
-
-Frame ReplyFrame(MsgType type, std::string payload) {
-  Frame f;
-  f.type = static_cast<uint32_t>(type);
-  f.payload = std::move(payload);
-  return f;
-}
-
-}  // namespace
-
-namespace {
-
 // Test-only fault injection for the ci.sh SLO gate: stall the dispatch
 // thread this many milliseconds per request, inflating every op's tail
 // latency the way an overloaded (or wedged) event loop would. Read once.

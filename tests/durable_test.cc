@@ -1,8 +1,9 @@
 // The durable-file layer: crash consistency of every durable writer under a
 // power cut at each of its durable operations, the publish order
-// (sync file -> move into place -> sync directory), same-path writers that
-// never tear each other, and golden files written before the layer existed
-// that must still decode to the same values.
+// (sync file -> move into place -> sync directory), deletes that sync their
+// directory, same-path writers that never tear each other, and golden files
+// written before the layer existed that must still decode to the same
+// values.
 #include <barrier>
 #include <cstring>
 #include <filesystem>
@@ -341,6 +342,57 @@ TEST(CrashConsistencyTest, PutBlobAndIndex) {
         // The decoy named after pack 9 was never taken for a pack.
         EXPECT_FALSE(fs::exists(root + "/packs/pack-000009.bin"));
       });
+}
+
+// A delete is durable only once its directory is synced, or the file can
+// come back after a power loss: a removed manifest naming chunks a later GC
+// reclaimed, or a reclaimed pack no index lists.
+TEST(CrashConsistencyTest, EveryArtifactDeleteSyncsItsDirectory) {
+  ScopedTempDir dir("remove_log");
+  auto reg = artifact::Registry::Open(SmallChunks(dir.File("reg")));
+  ASSERT_TRUE(reg.ok()) << reg.status().ToString();
+  ASSERT_TRUE((*reg)->Publish("a", Blob(3 * 4096, 5), {}).ok());
+  ASSERT_TRUE((*reg)->Publish("b", Blob(2 * 4096, 6), {}).ok());
+  std::vector<OpRecord> log;
+  {
+    testing::PowerCutAfter record_only("", -1);
+    ASSERT_TRUE((*reg)->Remove("a").ok());
+    auto reclaimed = (*reg)->CollectGarbage();
+    ASSERT_TRUE(reclaimed.ok()) << reclaimed.status().ToString();
+    EXPECT_GT(*reclaimed, 0u);
+    log = durable::fault::Log();
+  }
+  int deletes = 0;
+  for (size_t i = 0; i < log.size(); ++i) {
+    if (log[i].op != Op::kUnlink) continue;
+    ++deletes;
+    size_t next = i + 1;
+    while (next < log.size() && log[next].path != log[i].path) ++next;
+    ASSERT_LT(next, log.size()) << "directory unsynced " << log[i].path;
+    EXPECT_EQ(log[next].op, Op::kSyncDir) << "directory unsynced "
+                                          << log[i].path;
+  }
+  EXPECT_GE(deletes, 2) << "the manifest and the reclaimed pack";
+}
+
+TEST(CrashConsistencyTest, PowerCutAtTheDirectorySyncFailsRemove) {
+  ScopedTempDir dir("remove_cut");
+  auto reg = artifact::Registry::Open(SmallChunks(dir.File("reg")));
+  ASSERT_TRUE(reg.ok()) << reg.status().ToString();
+  ASSERT_TRUE((*reg)->Publish("m", Blob(4096, 7), {}).ok());
+  Status st;
+  std::vector<OpRecord> log;
+  {
+    // The unlink is the manifest's one operation; the power fails at the
+    // next, the directory sync.
+    testing::PowerCutAfter cut("m.mf", 1);
+    st = (*reg)->Remove("m");
+    log = durable::fault::Log();
+  }
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].op, Op::kUnlink);
+  EXPECT_FALSE(st.ok()) << "a delete whose directory was never synced "
+                           "reported success";
 }
 
 TEST(CrashConsistencyTest, PublishExperience) {

@@ -112,16 +112,19 @@ Fleet StartFleet(const ScopedTempDir& dir, int workers) {
   return fleet;
 }
 
-TEST(FleetTest, ShardedJobsMatchDirectRunsAndListMerges) {
+// The parameter is the worker count: one worker owns every job, two split
+// them (ids 1, 2, 3 land on workers 1, 2, 1).
+class FleetShardTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FleetShardTest, ShardedJobsMatchDirectRunsAndListMerges) {
   if (ServeBin() == nullptr) GTEST_SKIP() << "AUTOMC_SERVE_BIN not set";
   ScopedTempDir dir("fleet_rt");
-  Fleet fleet = StartFleet(dir, /*workers=*/2);
+  Fleet fleet = StartFleet(dir, GetParam());
   ASSERT_NE(fleet.server, nullptr);
 
   auto client = Client::Connect(dir.File("fleet.sock"));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
-  // Three jobs across two workers: ids 1, 2, 3 land on workers 1, 2, 1.
   const core::RunSpec specs[3] = {TinySpec(101, 4), TinySpec(102, 4),
                                   TinySpec(103, 6)};
   uint64_t ids[3];
@@ -165,6 +168,8 @@ TEST(FleetTest, ShardedJobsMatchDirectRunsAndListMerges) {
   // The internal submit-with-id type is coordinator-to-worker only.
   EXPECT_FALSE(client->Call(server::MsgType::kSubmitWithId, "").ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Workers, FleetShardTest, ::testing::Values(1, 2));
 
 TEST(FleetTest, SigkilledWorkerRespawnsAndJobFinishesBitIdentical) {
   if (ServeBin() == nullptr) GTEST_SKIP() << "AUTOMC_SERVE_BIN not set";

@@ -380,8 +380,8 @@ TEST(BackpressureTest, PausesReadingAtWatermarkAndAnswersEverything) {
 #endif
   ScopedTempDir dir("load_bp");
   metrics::MetricsRegistry::Global().Reset();
-  // Pad the metrics registry so each kGetMetrics reply is a few KiB — the
-  // 4 MiB watermark then trips after ~1-2k parked replies.
+  // Pad the metrics registry so each kGetMetrics reply is ~121 KB — the
+  // 4 MiB watermark then trips after a few dozen parked replies.
   for (int i = 0; i < 64; ++i) {
     metrics::MetricsRegistry::Global()
         .GetHistogram("pad.h" + std::to_string(i),

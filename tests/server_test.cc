@@ -3,12 +3,15 @@
 // contract — an outcome fetched from the server is bit-identical to a
 // direct in-process RunSearch of the same spec, including under concurrent
 // jobs, cancellation, graceful drain, and crash-recovery restarts.
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -352,6 +355,96 @@ TEST(ServerTest, IdleConnectionsAreReapedBySweep) {
     ASSERT_TRUE(client->ListJobs().ok()) << "active connection was reaped";
     std::this_thread::sleep_for(std::chrono::milliseconds(700));
   }
+  (*srv)->Stop();
+}
+
+// Descriptors open in this process; the server under test runs in it too.
+size_t OpenFds() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+bool WaitForOpenFds(size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (OpenFds() != want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Mean microseconds per synchronous status round trip.
+double StatusPollUs(Client* client, int polls) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < polls; ++i) {
+    // No job 1 exists; the NotFound reply still makes the full round trip.
+    EXPECT_EQ(client->JobStatus(1).status().code(), StatusCode::kNotFound);
+  }
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+             .count() /
+         polls;
+}
+
+// Idle sockets raise no epoll events, so 1,000 parked connections may slow
+// the status polls of one active connection by at most 2x. Short poll
+// windows alternate without and with the parked connections; the median of
+// the paired ratios is the slowdown, so neither a busy moment nor a drift
+// in the machine's load over the run biases it.
+TEST(ServerTest, ThousandIdleConnectionsSlowStatusPollsUnder2x) {
+  constexpr int kIdle = 1000, kRounds = 9, kPolls = 2000;
+  // Each parked connection holds two descriptors here: the client end and
+  // the server's accepted end.
+  rlimit files{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &files), 0);
+  const rlim_t need = OpenFds() + 2 * kIdle + 64;
+  if (files.rlim_cur < need) {
+    ASSERT_GE(files.rlim_max, need) << "the hard descriptor limit is too low";
+    files.rlim_cur = need;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &files), 0);
+  }
+
+  ScopedTempDir dir("server_idle_conns");
+  server::Server::Options opts;
+  opts.socket_path = dir.File("s.sock");
+  opts.jobs.workdir = dir.File("wd");
+  opts.idle_timeout_s = 0;
+  auto srv = server::Server::Start(opts);
+  ASSERT_TRUE(srv.ok()) << srv.status().ToString();
+  auto client = Client::Connect(opts.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  StatusPollUs(&*client, kPolls);  // warm-up
+  const size_t base_fds = OpenFds();
+
+  std::vector<double> slowdowns;
+  for (int round = 0; round < kRounds; ++round) {
+    const double without = StatusPollUs(&*client, kPolls);
+    std::vector<int> idle;
+    for (int i = 0; i < kIdle; ++i) {
+      auto fd = net::ConnectAddress(opts.socket_path);
+      ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+      idle.push_back(*fd);
+    }
+    ASSERT_TRUE(WaitForOpenFds(base_fds + 2 * kIdle))
+        << "the server did not accept every idle connection";
+    const double with = StatusPollUs(&*client, kPolls);
+    slowdowns.push_back(with / without);
+    for (int fd : idle) ::close(fd);
+    ASSERT_TRUE(WaitForOpenFds(base_fds))
+        << "the server did not close every idle connection";
+  }
+  std::sort(slowdowns.begin(), slowdowns.end());
+  const double median = slowdowns[kRounds / 2];
+  RecordProperty("idle_conn_slowdown", std::to_string(median));
+  EXPECT_LE(median, 2.0) << "1000 idle connections slowed status polls "
+                         << median << "x (paired ratios from "
+                         << slowdowns.front() << "x to " << slowdowns.back()
+                         << "x)";
   (*srv)->Stop();
 }
 
