@@ -2,10 +2,13 @@
 # Kernel and load benchmark driver (perfbench/ is the end-to-end benchmark).
 # Builds the Release tree and runs two gated sections:
 #   kernels  micro_substrate kernels vs the retained serial reference kernels
-#            (same binary) at AUTOMC_THREADS=1 and 4, plus fig4_search_curves
-#            end to end at both thread counts -> BENCH_kernels.json
+#            (same binary) at AUTOMC_THREADS=1, the pool's ParallelFor
+#            overhead at AUTOMC_THREADS=4, plus fig4_search_curves end to end
+#            at both thread counts -> BENCH_kernels.json
 #   load     load_replay against a single server and a 2-worker fleet
 #            -> BENCH_load.json
+# Every selected section runs; the script exits non-zero at the end when
+# any section's gate failed.
 #
 # Usage:
 #   scripts/bench.sh              # both sections (includes two ~minutes-long
@@ -37,6 +40,7 @@ cmake --build "${BUILD_DIR}" -j --target "${targets[@]}" >/dev/null
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "${tmpdir}"' EXIT
+failed_gates=()
 
 if want kernels; then
 
@@ -45,9 +49,10 @@ AUTOMC_THREADS=1 "${BUILD_DIR}/bench/micro_substrate" \
   --benchmark_filter="${FILTER}" \
   --benchmark_out="${tmpdir}/micro_t1.json" --benchmark_out_format=json \
   --benchmark_min_time=0.2
-echo "== micro kernels, AUTOMC_THREADS=4 =="
+# Kernels never read the thread count; only the pool's own overhead does.
+echo "== ParallelFor overhead, AUTOMC_THREADS=4 =="
 AUTOMC_THREADS=4 "${BUILD_DIR}/bench/micro_substrate" \
-  --benchmark_filter="${FILTER}" \
+  --benchmark_filter='BM_ParallelForOverhead' \
   --benchmark_out="${tmpdir}/micro_t4.json" --benchmark_out_format=json \
   --benchmark_min_time=0.2
 
@@ -68,7 +73,7 @@ if [[ -z "${AUTOMC_BENCH_SKIP_E2E:-}" ]]; then
 fi
 
 python3 - "${tmpdir}/micro_t1.json" "${tmpdir}/micro_t4.json" \
-    "${E2E_T1}" "${E2E_T4}" "${OUT_JSON}" <<'PY'
+    "${E2E_T1}" "${E2E_T4}" "${OUT_JSON}" <<'PY' || failed_gates+=(kernels)
 import json, os, sys
 
 t1_path, t4_path, e2e_t1, e2e_t4, out_path = sys.argv[1:6]
@@ -114,9 +119,9 @@ report = {
     "machine": {"nproc": os.cpu_count()},
     "note": (
         "ref_* rows are the retained pre-change serial kernels compiled in "
-        "the same binary; t1/t4 are the production kernels under "
-        "AUTOMC_THREADS=1/4. This machine has nproc cores; thread speedups "
-        "only materialize with >1 core."
+        "the same binary; t1 rows are the production kernels under "
+        "AUTOMC_THREADS=1. Kernels never use the thread pool, so only "
+        "parallel_for_overhead has t4 rows (AUTOMC_THREADS=4)."
     ),
     "gemm": {
         f"n{n}": entry(f"BM_MatMul/{n}", f"BM_MatMulRef/{n}")
@@ -230,7 +235,7 @@ AUTOMC_SERVE_BIN="${BUILD_DIR}/examples/automc_serve" \
     | tee "${tmpdir}/load_fleet2.json" || load_rc=$?
 
 python3 - "${tmpdir}/load_single.json" "${tmpdir}/load_fleet2.json" \
-    "${load_rc}" BENCH_load.json <<'PY'
+    "${load_rc}" BENCH_load.json <<'PY' || failed_gates+=(load)
 import json, os, sys
 
 single_path, fleet_path, rc, out_path = sys.argv[1:5]
@@ -290,3 +295,8 @@ print("wrote BENCH_load.json")
 PY
 
 fi  # load
+
+if [[ ${#failed_gates[@]} -gt 0 ]]; then
+  echo "bench.sh: gate failed in: ${failed_gates[*]}" >&2
+  exit 1
+fi

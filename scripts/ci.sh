@@ -88,6 +88,13 @@ else
   echo "crash-resume smoke: resumed outcome is byte-identical"
 fi
 
+echo "== knowledge explorer smoke =="
+# The one tool that prints the geometry of the learned strategy embeddings
+# (Algorithm 1's knowledge-graph term): it must learn them and print it.
+explorer_out="$(build/examples/knowledge_explorer)"
+grep -q 'embedding geometry:' <<<"${explorer_out}"
+echo "knowledge explorer smoke: embeddings learned, geometry printed"
+
 echo "== server smoke =="
 # Boot the automc_serve daemon, run the same search once directly and once
 # through the socket, require byte-identical outcomes, then SIGTERM the
@@ -287,6 +294,8 @@ echo "== COW sanitizer stage =="
 # registry (pool threads record through macro sites while Reset() zeroes),
 # and whole AutoMC runs (core_test, determinism_test), where pretraining
 # and embedding learning run as two training loops on the pool at once,
+# and the pool itself (thread_pool_test: its ticket queue, nesting and
+# exception paths),
 # then shake out addressability bugs in the buffer-sharing paths, the
 # folded conv blocks, the raw-pointer TransR pair step, the metric
 # references kept across Reset(), the model decoder, the experience store,
@@ -297,11 +306,11 @@ cmake -B build-tsan -S . -DAUTOMC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j --target cow_tensor_test batch_eval_test \
   experience_index_test artifact_test durable_test metrics_test core_test \
-  determinism_test
+  determinism_test thread_pool_test
 for threads in 1 4; do
   echo "-- tsan ctest, AUTOMC_THREADS=${threads} --"
   AUTOMC_THREADS="${threads}" ctest --test-dir build-tsan \
-    -R 'cow_tensor_test|batch_eval_test|experience_index_test|artifact_test|durable_test|metrics_test|core_test|determinism_test' \
+    -R 'cow_tensor_test|batch_eval_test|experience_index_test|artifact_test|durable_test|metrics_test|core_test|determinism_test|thread_pool_test' \
     --output-on-failure
 done
 

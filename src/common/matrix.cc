@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "common/thread_pool.h"
-
 namespace automc {
 
 namespace {
@@ -20,21 +18,17 @@ Matrix Matrix::Transposed() const {
   const double* src = data_.data();
   double* dst = t.data();
   int64_t rows = rows_, cols = cols_;
-  int64_t row_tiles = (rows + kTransposeTile - 1) / kTransposeTile;
-  automc::ParallelFor(row_tiles, 1, [=](int64_t t0, int64_t t1) {
-    for (int64_t bt = t0; bt < t1; ++bt) {
-      int64_t r0 = bt * kTransposeTile;
-      int64_t r1 = std::min(rows, r0 + kTransposeTile);
-      for (int64_t c0 = 0; c0 < cols; c0 += kTransposeTile) {
-        int64_t c1 = std::min(cols, c0 + kTransposeTile);
-        for (int64_t r = r0; r < r1; ++r) {
-          for (int64_t c = c0; c < c1; ++c) {
-            dst[c * rows + r] = src[r * cols + c];
-          }
+  for (int64_t r0 = 0; r0 < rows; r0 += kTransposeTile) {
+    int64_t r1 = std::min(rows, r0 + kTransposeTile);
+    for (int64_t c0 = 0; c0 < cols; c0 += kTransposeTile) {
+      int64_t c1 = std::min(cols, c0 + kTransposeTile);
+      for (int64_t r = r0; r < r1; ++r) {
+        for (int64_t c = c0; c < c1; ++c) {
+          dst[c * rows + r] = src[r * cols + c];
         }
       }
     }
-  });
+  }
   return t;
 }
 
@@ -48,41 +42,38 @@ Matrix Matrix::Multiply(const Matrix& other) const {
   const double* pa = data_.data();
   const double* pb = bt.data();
   double* pc = out.data();
-  int64_t grain = std::max<int64_t>(1, (1 << 14) / std::max<int64_t>(1, k * n));
-  automc::ParallelFor(m, grain, [=](int64_t r0, int64_t r1) {
-    int64_t i = r0;
-    // Quads of output rows share each B^T row read.
-    for (; i + 4 <= r1; i += 4) {
-      const double* a0 = pa + i * k;
-      const double* a1 = a0 + k;
-      const double* a2 = a1 + k;
-      const double* a3 = a2 + k;
-      for (int64_t j = 0; j < n; ++j) {
-        const double* brow = pb + j * k;
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        for (int64_t kk = 0; kk < k; ++kk) {
-          double bv = brow[kk];
-          s0 += a0[kk] * bv;
-          s1 += a1[kk] * bv;
-          s2 += a2[kk] * bv;
-          s3 += a3[kk] * bv;
-        }
-        pc[i * n + j] = s0;
-        pc[(i + 1) * n + j] = s1;
-        pc[(i + 2) * n + j] = s2;
-        pc[(i + 3) * n + j] = s3;
+  int64_t i = 0;
+  // Quads of output rows share each B^T row read.
+  for (; i + 4 <= m; i += 4) {
+    const double* a0 = pa + i * k;
+    const double* a1 = a0 + k;
+    const double* a2 = a1 + k;
+    const double* a3 = a2 + k;
+    for (int64_t j = 0; j < n; ++j) {
+      const double* brow = pb + j * k;
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        double bv = brow[kk];
+        s0 += a0[kk] * bv;
+        s1 += a1[kk] * bv;
+        s2 += a2[kk] * bv;
+        s3 += a3[kk] * bv;
       }
+      pc[i * n + j] = s0;
+      pc[(i + 1) * n + j] = s1;
+      pc[(i + 2) * n + j] = s2;
+      pc[(i + 3) * n + j] = s3;
     }
-    for (; i < r1; ++i) {
-      const double* arow = pa + i * k;
-      for (int64_t j = 0; j < n; ++j) {
-        const double* brow = pb + j * k;
-        double s = 0.0;
-        for (int64_t kk = 0; kk < k; ++kk) s += arow[kk] * brow[kk];
-        pc[i * n + j] = s;
-      }
+  }
+  for (; i < m; ++i) {
+    const double* arow = pa + i * k;
+    for (int64_t j = 0; j < n; ++j) {
+      const double* brow = pb + j * k;
+      double s = 0.0;
+      for (int64_t kk = 0; kk < k; ++kk) s += arow[kk] * brow[kk];
+      pc[i * n + j] = s;
     }
-  });
+  }
   return out;
 }
 

@@ -1,9 +1,11 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <mutex>
 #include <string>
 
@@ -46,29 +48,22 @@ struct ThreadPool::Batch {
   std::exception_ptr error;
 };
 
-// Per-lane work deque. Lane i is owned by worker i; other lanes steal from
-// the back when their own deque is empty.
-struct ThreadPool::Lane {
-  std::mutex mu;
-  std::deque<std::shared_ptr<Batch>> q;
-};
-
+// Claim tickets in submission order: a worker that pops a ticket joins that
+// batch's chunk loop. A ticket popped after its batch drained finds no
+// chunk left and is dropped.
 struct ThreadPool::Shared {
   std::mutex mu;
   std::condition_variable cv;
   bool stop = false;
-  int64_t pending = 0;  // queued lane entries not yet claimed
+  std::deque<std::shared_ptr<Batch>> tickets;
 };
 
 ThreadPool::ThreadPool(int threads)
     : threads_(threads < 1 ? 1 : threads), shared_(new Shared) {
   AUTOMC_METRIC_GAUGE("pool.threads", static_cast<double>(threads_));
-  int workers = threads_ - 1;
-  lanes_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) lanes_.push_back(std::make_unique<Lane>());
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  workers_.reserve(static_cast<size_t>(threads_ - 1));
+  for (int i = 1; i < threads_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -86,8 +81,6 @@ int64_t ThreadPool::NumChunks(int64_t n, int64_t grain) {
   if (grain < 1) grain = 1;
   return (n + grain - 1) / grain;
 }
-
-bool ThreadPool::InWorker() { return tls_in_pool_task; }
 
 void ThreadPool::RunBatch(Batch* batch) {
   bool prev = tls_in_pool_task;
@@ -117,38 +110,15 @@ void ThreadPool::RunBatch(Batch* batch) {
   tls_in_pool_task = prev;
 }
 
-std::shared_ptr<ThreadPool::Batch> ThreadPool::NextBatch(int worker_index,
-                                                         bool* stolen) {
-  int lanes = static_cast<int>(lanes_.size());
-  // Own lane first (front = FIFO within a lane), then scan the others in a
-  // fixed round-robin order and steal from the back.
-  for (int off = 0; off < lanes; ++off) {
-    int li = (worker_index + off) % lanes;
-    Lane& lane = *lanes_[static_cast<size_t>(li)];
-    std::lock_guard<std::mutex> lock(lane.mu);
-    if (lane.q.empty()) continue;
-    std::shared_ptr<Batch> batch;
-    if (off == 0) {
-      batch = std::move(lane.q.front());
-      lane.q.pop_front();
-    } else {
-      batch = std::move(lane.q.back());
-      lane.q.pop_back();
-      *stolen = true;
-    }
-    return batch;
-  }
-  return nullptr;
-}
-
-void ThreadPool::WorkerLoop(int worker_index) {
+void ThreadPool::WorkerLoop() {
   for (;;) {
+    std::shared_ptr<Batch> batch;
     {
       std::unique_lock<std::mutex> lock(shared_->mu);
-      if (!shared_->stop && shared_->pending == 0) {
+      if (!shared_->stop && shared_->tickets.empty()) {
         auto idle_start = std::chrono::steady_clock::now();
         shared_->cv.wait(lock, [this] {
-          return shared_->stop || shared_->pending > 0;
+          return shared_->stop || !shared_->tickets.empty();
         });
         double idle_ms =
             std::chrono::duration<double, std::milli>(
@@ -156,16 +126,10 @@ void ThreadPool::WorkerLoop(int worker_index) {
                 .count();
         AUTOMC_METRIC_OBSERVE("pool.idle_ms", idle_ms);
       }
-      if (shared_->pending == 0) {
-        if (shared_->stop) return;
-        continue;
-      }
-      --shared_->pending;
+      if (shared_->tickets.empty()) return;  // stopping, nothing queued
+      batch = std::move(shared_->tickets.front());
+      shared_->tickets.pop_front();
     }
-    bool stolen = false;
-    std::shared_ptr<Batch> batch = NextBatch(worker_index, &stolen);
-    if (batch == nullptr) continue;  // raced with another claimant
-    if (stolen) AUTOMC_METRIC_COUNT("pool.steal_count");
     RunBatch(batch.get());
   }
 }
@@ -193,25 +157,14 @@ void ThreadPool::ParallelFor(int64_t n, int64_t grain, const ChunkFn& body) {
   batch->body = &body;
   AUTOMC_METRIC_COUNT("pool.tasks", chunks);
 
-  // Enqueue one claim ticket per worker lane (never more lanes than
-  // chunks); idle lanes steal the tickets of busy ones.
-  int64_t tickets = static_cast<int64_t>(lanes_.size());
-  if (tickets > chunks - 1) tickets = chunks - 1;
-  if (tickets < 0) tickets = 0;
-  for (int64_t i = 0; i < tickets; ++i) {
-    Lane& lane = *lanes_[static_cast<size_t>(i % lanes_.size())];
-    std::lock_guard<std::mutex> lock(lane.mu);
-    lane.q.push_back(batch);
-  }
+  // One ticket per worker that can get a chunk: the caller takes one.
+  int64_t tickets = std::min<int64_t>(static_cast<int64_t>(workers_.size()),
+                                      chunks - 1);
   {
     std::lock_guard<std::mutex> lock(shared_->mu);
-    shared_->pending += tickets;
+    for (int64_t i = 0; i < tickets; ++i) shared_->tickets.push_back(batch);
   }
-  if (tickets == 1) {
-    shared_->cv.notify_one();
-  } else {
-    shared_->cv.notify_all();
-  }
+  for (int64_t i = 0; i < tickets; ++i) shared_->cv.notify_one();
 
   // The caller participates, then waits for stragglers.
   RunBatch(batch.get());

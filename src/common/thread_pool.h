@@ -2,7 +2,6 @@
 #define AUTOMC_COMMON_THREAD_POOL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -10,27 +9,29 @@
 
 namespace automc {
 
-// Fixed-size work-stealing thread pool shared by every hot path in the
-// system (GEMM/conv kernels, per-sample training loops, candidate scoring
-// in the searchers).
+// Fixed-size thread pool for the system's coarse, independent units of
+// work: the speculation chains of SchemeEvaluator::EvaluateBatch, F_mo
+// candidate scoring in the progressive searcher, and the two stages
+// AutoMC::Run overlaps before its search. Kernels (GEMM, conv, BatchNorm,
+// pooling, ...) never call it: each runs serially on the lane that runs
+// its task.
 //
 // Determinism contract
 // --------------------
 // ParallelFor splits [0, n) into chunks whose boundaries depend only on
 // (n, grain) — never on the thread count or on scheduling. Which thread
 // executes a chunk is nondeterministic, so callers must either
-//   * write to disjoint data per chunk (element-wise kernels, conv sample
-//     groups, per-row GEMM), or
+//   * write to disjoint data per chunk, or
 //   * reduce into per-chunk slots and combine them in ascending chunk
-//     order after the loop (gradient reductions).
+//     order after the loop.
 // Under that discipline results are bit-identical for any AUTOMC_THREADS
 // value, which is what the determinism test suite asserts.
 //
 // Sizing: the global pool reads AUTOMC_THREADS once (>=1; default:
 // std::thread::hardware_concurrency). At size 1 every ParallelFor runs
 // inline on the caller with zero synchronization. Nested ParallelFor calls
-// issued from inside a pool worker also run inline (serial) so kernels can
-// be composed freely without deadlock.
+// issued from inside a chunk also run inline (serial), so a task may use
+// code that loops in parallel at top level without deadlock.
 class ThreadPool {
  public:
   // Creates a pool that executes work on `threads` lanes (the caller lane
@@ -58,10 +59,6 @@ class ThreadPool {
   // size per-chunk reduction buffers.
   static int64_t NumChunks(int64_t n, int64_t grain);
 
-  // True while the calling thread is executing a pool task (used to run
-  // nested parallel loops inline).
-  static bool InWorker();
-
   // Process-wide pool, sized from AUTOMC_THREADS on first use.
   static ThreadPool& Global();
 
@@ -70,23 +67,15 @@ class ThreadPool {
   static void ResetGlobal(int threads);
 
  private:
-  struct Batch;  // one ParallelFor's shared state
+  struct Batch;   // one ParallelFor's shared state
+  struct Shared;  // the ticket queue and its wakeup
 
-  void WorkerLoop(int worker_index);
-  // Pops a batch for `worker_index`, stealing from other lanes when its own
-  // deque is empty. Returns nullptr when the pool is shutting down.
-  std::shared_ptr<Batch> NextBatch(int worker_index, bool* stolen);
+  void WorkerLoop();
   void RunBatch(Batch* batch);
 
   int threads_;
-  std::vector<std::thread> workers_;
-
-  struct Lane;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-
-  // Guards submission/wakeup across lanes.
-  struct Shared;
   std::unique_ptr<Shared> shared_;
+  std::vector<std::thread> workers_;
 };
 
 // Convenience wrappers over ThreadPool::Global().

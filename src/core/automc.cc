@@ -196,8 +196,8 @@ Result<AutoMCResult> AutoMC::Run(const CompressionTask& task) {
   //    so neither which lane runs a branch nor whether the two overlap can
   //    change a bit. The knowledge branch is chunk 0, the one the calling
   //    thread normally claims (the placement with the lowest peak RSS). The
-  //    RL ablation has its own action embeddings, so it pretrains alone on
-  //    the caller, where nested loops still use the whole pool.
+  //    RL ablation has its own action embeddings, so it only pretrains, on
+  //    the caller's lane.
   std::vector<tensor::Tensor> embeddings;
   std::vector<kg::ExperienceRecord> experience;
   Status model_status;

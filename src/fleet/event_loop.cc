@@ -309,6 +309,10 @@ void EventLoop::CloseConn(int fd) {
 void EventLoop::SweepIdle() {
   if (options_.idle_timeout_s <= 0 || conns_.empty()) return;
   const auto now = std::chrono::steady_clock::now();
+  // Timeouts are whole seconds, so one pass a second reaps on time without
+  // walking every connection after each wakeup.
+  if (now - last_sweep_ < std::chrono::seconds(1)) return;
+  last_sweep_ = now;
   const auto limit = std::chrono::seconds(options_.idle_timeout_s);
   std::vector<int> stale;
   for (const auto& [fd, conn] : conns_) {

@@ -163,6 +163,7 @@ class EventLoop {
   uint64_t next_conn_serial_ = 1;
   size_t total_buffered_ = 0;  // reply bytes queued across all connections
   size_t peak_buffered_ = 0;
+  std::chrono::steady_clock::time_point last_sweep_;  // SweepIdle's last pass
 };
 
 }  // namespace fleet

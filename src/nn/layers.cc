@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/thread_pool.h"
-
 namespace automc {
 namespace nn {
 
@@ -14,27 +12,13 @@ using tensor::Tensor;
 
 namespace {
 
-// Chunk size for element-wise activation kernels: big enough that the pool
-// dispatch amortizes, independent of the thread count so chunk boundaries
-// (and therefore results) are reproducible.
-constexpr int64_t kElemwiseGrain = 1 << 13;
-
-// Per-channel loops (BatchNorm) get a grain derived from the per-channel
-// work so tiny maps stay serial.
-int64_t ChannelGrain(int64_t channels, int64_t work_per_channel) {
-  int64_t per_chunk = (1 << 14) / std::max<int64_t>(1, work_per_channel);
-  if (per_chunk < 1) per_chunk = 1;
-  if (per_chunk > channels && channels > 0) per_chunk = channels;
-  return per_chunk;
-}
-
 // Conv2d folds samples side by side into one [C*k*k, group*OH*OW] GEMM
 // operand until it is at least this many columns wide, so small late-stage
 // maps stop issuing GEMMs too narrow for the vector path.
 constexpr int64_t kFoldCols = 64;
 
 // Samples per folded conv GEMM: a pure function of the batch size and the
-// output-map size, never of the thread count.
+// output-map size.
 int64_t FoldGroup(int64_t batch, int64_t map_size) {
   return std::clamp<int64_t>((kFoldCols + map_size - 1) / map_size, 1, batch);
 }
@@ -85,41 +69,38 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
   // One im2col block + GEMM per group of samples, each group writing a
   // disjoint slice of y. Every output element is the GEMM's ascending-k
   // chain from its bias wherever its column sits, so folding changes no
-  // bit. A single group runs on the caller and its GEMM parallelizes
-  // internally instead.
+  // bit.
   const float* xd = x.data();
   const float* wd = wmat.data();
   const float* bd = has_bias_ ? bias_.value.data() : nullptr;
   float* yd = y.MutableData();
-  int64_t out_c = out_c_, in_c = in_c_;
-  automc::ParallelFor(groups, 1, [&, xd, wd, bd, yd](int64_t g0, int64_t g1) {
-    // Scratch for one full group, reused by the chunk's groups.
-    Tensor cols({ckk, group * p});
-    Tensor folded({group > 1 ? out_c * group * p : 0});
-    for (int64_t gi = g0; gi < g1; ++gi) {
-      int64_t s0 = gi * group, ns = std::min(group, n - s0), cw = ns * p;
-      float* cd = cols.MutableData();
+  int64_t out_c = out_c_;
+  // Scratch for one full group, reused by every group.
+  Tensor cols({ckk, group * p});
+  Tensor folded({group > 1 ? out_c * group * p : 0});
+  float* cd = cols.MutableData();
+  for (int64_t gi = 0; gi < groups; ++gi) {
+    int64_t s0 = gi * group, ns = std::min(group, n - s0), cw = ns * p;
+    for (int64_t s = 0; s < ns; ++s) {
+      tensor::Im2Col(xd + (s0 + s) * in_c_ * h * w, g, cd + s * p, cw);
+    }
+    // A lone sample's [out_c, p] result is its slice of y; a folded
+    // group's [out_c, ns*p] result is scattered per sample.
+    float* dst = ns == 1 ? yd + s0 * out_c * p : folded.MutableData();
+    for (int64_t f = 0; f < out_c; ++f) {
+      std::fill(dst + f * cw, dst + (f + 1) * cw,
+                bd != nullptr ? bd[f] : 0.0f);
+    }
+    tensor::GemmAccumRaw(wd, cd, dst, out_c, ckk, cw);
+    if (ns > 1) {
       for (int64_t s = 0; s < ns; ++s) {
-        tensor::Im2Col(xd + (s0 + s) * in_c * h * w, g, cd + s * p, cw);
-      }
-      // A lone sample's [out_c, p] result is its slice of y; a folded
-      // group's [out_c, ns*p] result is scattered per sample.
-      float* dst = ns == 1 ? yd + s0 * out_c * p : folded.MutableData();
-      for (int64_t f = 0; f < out_c; ++f) {
-        std::fill(dst + f * cw, dst + (f + 1) * cw,
-                  bd != nullptr ? bd[f] : 0.0f);
-      }
-      tensor::GemmAccumRaw(wd, cd, dst, out_c, ckk, cw);
-      if (ns > 1) {
-        for (int64_t s = 0; s < ns; ++s) {
-          for (int64_t f = 0; f < out_c; ++f) {
-            const float* src = dst + f * cw + s * p;
-            std::copy(src, src + p, yd + ((s0 + s) * out_c + f) * p);
-          }
+        for (int64_t f = 0; f < out_c; ++f) {
+          const float* src = dst + f * cw + s * p;
+          std::copy(src, src + p, yd + ((s0 + s) * out_c + f) * p);
         }
       }
     }
-  });
+  }
   flops_last_ = n * out_c_ * ckk * p;
   return y;
 }
@@ -146,67 +127,60 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   const float* gd = grad_out.data();
   const float* wd = wmat.data();
   float* dxd = dx.MutableData();
-  int64_t out_c = out_c_, in_c = in_c_;
-  automc::ParallelFor(groups, 1, [&, gd, wd, dxd](int64_t g0, int64_t g1) {
-    Tensor folded({group > 1 ? out_c * group * p : 0});
-    Tensor dcols({ckk, group * p});
-    for (int64_t gi = g0; gi < g1; ++gi) {
-      int64_t s0 = gi * group, ns = std::min(group, n - s0), cw = ns * p;
-      // dY of the group in the folded [out_c, ns*p] layout.
-      const float* dyg = gd + s0 * out_c * p;
-      if (ns > 1) {
-        float* dst = folded.MutableData();
-        for (int64_t s = 0; s < ns; ++s) {
-          for (int64_t f = 0; f < out_c; ++f) {
-            const float* src = gd + ((s0 + s) * out_c + f) * p;
-            std::copy(src, src + p, dst + f * cw + s * p);
-          }
-        }
-        dyg = dst;
-      }
-      float* dc = dcols.MutableData();
-      std::fill(dc, dc + ckk * cw, 0.0f);
-      tensor::GemmTransposeARaw(wd, dyg, dc, ckk, out_c, cw);
+  int64_t out_c = out_c_;
+  Tensor folded({group > 1 ? out_c * group * p : 0});
+  Tensor dcols({ckk, group * p});
+  float* dc = dcols.MutableData();
+  for (int64_t gi = 0; gi < groups; ++gi) {
+    int64_t s0 = gi * group, ns = std::min(group, n - s0), cw = ns * p;
+    // dY of the group in the folded [out_c, ns*p] layout.
+    const float* dyg = gd + s0 * out_c * p;
+    if (ns > 1) {
+      float* dst = folded.MutableData();
       for (int64_t s = 0; s < ns; ++s) {
-        tensor::Col2Im(dc + s * p, cw, g, dxd + (s0 + s) * in_c * h * w);
+        for (int64_t f = 0; f < out_c; ++f) {
+          const float* src = gd + ((s0 + s) * out_c + f) * p;
+          std::copy(src, src + p, dst + f * cw + s * p);
+        }
       }
+      dyg = dst;
     }
-  });
+    std::fill(dc, dc + ckk * cw, 0.0f);
+    tensor::GemmTransposeARaw(wd, dyg, dc, ckk, out_c, cw);
+    for (int64_t s = 0; s < ns; ++s) {
+      tensor::Col2Im(dc + s * p, cw, g, dxd + (s0 + s) * in_c_ * h * w);
+    }
+  }
 
   // dW and db sum over a sample's positions; one GEMM over a folded group
-  // would merge those sums across samples. They stay per-sample partials,
-  // reduced in ascending sample order below, so neither the grouping nor
-  // the thread count changes their bits.
-  std::vector<Tensor> dw_part(static_cast<size_t>(n));
-  std::vector<Tensor> db_part(static_cast<size_t>(n));
-  bool has_bias = has_bias_;
-  automc::ParallelFor(n, 1, [&, xd, gd](int64_t i0, int64_t i1) {
-    Tensor cols({ckk, p});
-    for (int64_t i = i0; i < i1; ++i) {
-      tensor::Im2Col(xd + i * in_c * h * w, g, cols.MutableData(), p);
-      const float* dyi = gd + i * out_c * p;  // [out_c, p] slice
-      // dW_i = dY_i * cols_i^T
-      Tensor dwp({out_c, ckk});
-      tensor::GemmTransposeBRaw(dyi, cols.data(), dwp.MutableData(), out_c, p,
-                                ckk);
-      dw_part[static_cast<size_t>(i)] = std::move(dwp);
-      if (has_bias) {
-        Tensor dbp({out_c});
-        for (int64_t f = 0; f < out_c; ++f) {
-          double sum = 0.0;
-          for (int64_t q = 0; q < p; ++q) sum += dyi[f * p + q];
-          dbp[f] += static_cast<float>(sum);
-        }
-        db_part[static_cast<size_t>(i)] = std::move(dbp);
+  // would merge those sums across samples. Each sample's partial is built
+  // from zero in one scratch and added in ascending sample order, so the
+  // grouping never changes their bits.
+  Tensor cols({ckk, p});
+  Tensor dwp({out_c, ckk});
+  Tensor dbp({has_bias_ ? out_c : 0});
+  Tensor dwmat({out_c, ckk});
+  float* cd = cols.MutableData();
+  float* dwd = dwp.MutableData();
+  float* dbd = dbp.MutableData();
+  for (int64_t i = 0; i < n; ++i) {
+    tensor::Im2Col(xd + i * in_c_ * h * w, g, cd, p);
+    const float* dyi = gd + i * out_c * p;  // [out_c, p] slice
+    // dW_i = dY_i * cols_i^T
+    std::fill(dwd, dwd + out_c * ckk, 0.0f);
+    tensor::GemmTransposeBRaw(dyi, cd, dwd, out_c, p, ckk);
+    dwmat.AddInPlace(dwp);
+    if (has_bias_) {
+      std::fill(dbd, dbd + out_c, 0.0f);
+      for (int64_t f = 0; f < out_c; ++f) {
+        double sum = 0.0;
+        for (int64_t q = 0; q < p; ++q) sum += dyi[f * p + q];
+        dbd[f] += static_cast<float>(sum);
       }
+      bias_.grad.AddInPlace(dbp);
     }
-  });
-  Tensor dwmat({out_c_, ckk});
-  for (const Tensor& part : dw_part) dwmat.AddInPlace(part);
-  weight_.grad.AddInPlace(dwmat.Reshaped(weight_.value.shape()));
-  if (has_bias_) {
-    for (const Tensor& part : db_part) bias_.grad.AddInPlace(part);
   }
+  weight_.grad.AddInPlace(dwmat.Reshaped(weight_.value.shape()));
   cached_ = false;
   x_cache_ = Tensor();
   return dx;
@@ -362,13 +336,8 @@ Tensor BatchNorm2d::Forward(const Tensor& x, bool training) {
   int64_t hw = h * w;
   Tensor y(x.shape());
 
-  // Channels are independent, so both modes parallelize per channel:
-  // batch statistics, running-stat updates, and the normalized outputs for
-  // channel c touch only channel-c slices. Per-channel arithmetic order is
-  // unchanged, so results are bit-identical for any thread count. All
-  // tensor accesses are hoisted to raw pointers before the parallel
-  // region: COW materialization must happen exactly once on this thread,
-  // never concurrently inside the lambda.
+  // Channel by channel: batch statistics, running-stat updates, and the
+  // normalized outputs for channel c touch only channel-c slices.
   const float* xd = x.data();
   float* yd = y.MutableData();
   const float* gv = gamma_.value.data();
@@ -382,66 +351,52 @@ Tensor BatchNorm2d::Forward(const Tensor& x, bool training) {
     float* rm = running_mean_.MutableData();
     float* rv = running_var_.MutableData();
     int64_t m = n * hw;
-    int64_t channels = channels_;
-    float momentum = momentum_, eps = eps_;
-    automc::ParallelFor(
-        channels_, ChannelGrain(channels_, 4 * m),
-        [=](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            double mean = 0.0;
-            for (int64_t i = 0; i < n; ++i) {
-              const float* p = xd + (i * channels + c) * hw;
-              for (int64_t k = 0; k < hw; ++k) mean += p[k];
-            }
-            mean /= m;
-            double var = 0.0;
-            for (int64_t i = 0; i < n; ++i) {
-              const float* p = xd + (i * channels + c) * hw;
-              for (int64_t k = 0; k < hw; ++k) {
-                double d = p[k] - mean;
-                var += d * d;
-              }
-            }
-            var /= m;
-            float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-            bis[c] = inv_std;
-            rm[c] = (1 - momentum) * rm[c] +
-                    momentum * static_cast<float>(mean);
-            rv[c] = (1 - momentum) * rv[c] +
-                    momentum * static_cast<float>(var);
-            float g = gv[c], b = bv[c];
-            for (int64_t i = 0; i < n; ++i) {
-              const float* p = xd + (i * channels + c) * hw;
-              float* xh = xhd + (i * channels + c) * hw;
-              float* py = yd + (i * channels + c) * hw;
-              for (int64_t k = 0; k < hw; ++k) {
-                xh[k] = (p[k] - static_cast<float>(mean)) * inv_std;
-                py[k] = g * xh[k] + b;
-              }
-            }
-          }
-        });
+    for (int64_t c = 0; c < channels_; ++c) {
+      double mean = 0.0;
+      for (int64_t i = 0; i < n; ++i) {
+        const float* p = xd + (i * channels_ + c) * hw;
+        for (int64_t k = 0; k < hw; ++k) mean += p[k];
+      }
+      mean /= m;
+      double var = 0.0;
+      for (int64_t i = 0; i < n; ++i) {
+        const float* p = xd + (i * channels_ + c) * hw;
+        for (int64_t k = 0; k < hw; ++k) {
+          double d = p[k] - mean;
+          var += d * d;
+        }
+      }
+      var /= m;
+      float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
+      bis[c] = inv_std;
+      rm[c] = (1 - momentum_) * rm[c] + momentum_ * static_cast<float>(mean);
+      rv[c] = (1 - momentum_) * rv[c] + momentum_ * static_cast<float>(var);
+      float g = gv[c], b = bv[c];
+      for (int64_t i = 0; i < n; ++i) {
+        const float* p = xd + (i * channels_ + c) * hw;
+        float* xh = xhd + (i * channels_ + c) * hw;
+        float* py = yd + (i * channels_ + c) * hw;
+        for (int64_t k = 0; k < hw; ++k) {
+          xh[k] = (p[k] - static_cast<float>(mean)) * inv_std;
+          py[k] = g * xh[k] + b;
+        }
+      }
+    }
     trained_forward_ = true;
   } else {
     const float* rm = running_mean_.data();
     const float* rv = running_var_.data();
-    int64_t channels = channels_;
-    float eps = eps_;
-    automc::ParallelFor(
-        channels_, ChannelGrain(channels_, 2 * n * hw),
-        [=](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            float inv_std = 1.0f / std::sqrt(rv[c] + eps);
-            float g = gv[c], b = bv[c], mu = rm[c];
-            for (int64_t i = 0; i < n; ++i) {
-              const float* p = xd + (i * channels + c) * hw;
-              float* py = yd + (i * channels + c) * hw;
-              for (int64_t k = 0; k < hw; ++k) {
-                py[k] = g * (p[k] - mu) * inv_std + b;
-              }
-            }
-          }
-        });
+    for (int64_t c = 0; c < channels_; ++c) {
+      float inv_std = 1.0f / std::sqrt(rv[c] + eps_);
+      float g = gv[c], b = bv[c], mu = rm[c];
+      for (int64_t i = 0; i < n; ++i) {
+        const float* p = xd + (i * channels_ + c) * hw;
+        float* py = yd + (i * channels_ + c) * hw;
+        for (int64_t k = 0; k < hw; ++k) {
+          py[k] = g * (p[k] - mu) * inv_std + b;
+        }
+      }
+    }
     trained_forward_ = false;
   }
   return y;
@@ -453,10 +408,8 @@ Tensor BatchNorm2d::Backward(const Tensor& grad_out) {
   int64_t hw = h * w;
   int64_t m = n * hw;
   Tensor dx(x_shape_);
-  // Parallel per channel: gamma/beta grads and dx for channel c depend only
-  // on channel-c slices, so writes are disjoint and per-channel order is the
-  // serial order. Pointers are hoisted (materializing the shared gradients
-  // once, here) so the lambda never touches a Tensor member.
+  // Channel by channel: gamma/beta grads and dx for channel c depend only
+  // on channel-c slices.
   const float* gd = grad_out.data();
   const float* xhd = x_hat_.data();
   const float* gv = gamma_.value.data();
@@ -464,37 +417,32 @@ Tensor BatchNorm2d::Backward(const Tensor& grad_out) {
   float* gg = gamma_.grad.MutableData();
   float* bg = beta_.grad.MutableData();
   float* dxd = dx.MutableData();
-  int64_t channels = channels_;
-  automc::ParallelFor(
-      channels_, ChannelGrain(channels_, 5 * m),
-      [=](int64_t c0, int64_t c1) {
-        for (int64_t c = c0; c < c1; ++c) {
-          double sum_dy = 0.0, sum_dy_xhat = 0.0;
-          for (int64_t i = 0; i < n; ++i) {
-            const float* dy = gd + (i * channels + c) * hw;
-            const float* xh = xhd + (i * channels + c) * hw;
-            for (int64_t k = 0; k < hw; ++k) {
-              sum_dy += dy[k];
-              sum_dy_xhat += static_cast<double>(dy[k]) * xh[k];
-            }
-          }
-          gg[c] += static_cast<float>(sum_dy_xhat);
-          bg[c] += static_cast<float>(sum_dy);
-          float g = gv[c];
-          float inv_std = bis[c];
-          float coef = g * inv_std / static_cast<float>(m);
-          for (int64_t i = 0; i < n; ++i) {
-            const float* dy = gd + (i * channels + c) * hw;
-            const float* xh = xhd + (i * channels + c) * hw;
-            float* pdx = dxd + (i * channels + c) * hw;
-            for (int64_t k = 0; k < hw; ++k) {
-              pdx[k] = coef * (static_cast<float>(m) * dy[k] -
-                               static_cast<float>(sum_dy) -
-                               xh[k] * static_cast<float>(sum_dy_xhat));
-            }
-          }
-        }
-      });
+  for (int64_t c = 0; c < channels_; ++c) {
+    double sum_dy = 0.0, sum_dy_xhat = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+      const float* dy = gd + (i * channels_ + c) * hw;
+      const float* xh = xhd + (i * channels_ + c) * hw;
+      for (int64_t k = 0; k < hw; ++k) {
+        sum_dy += dy[k];
+        sum_dy_xhat += static_cast<double>(dy[k]) * xh[k];
+      }
+    }
+    gg[c] += static_cast<float>(sum_dy_xhat);
+    bg[c] += static_cast<float>(sum_dy);
+    float g = gv[c];
+    float inv_std = bis[c];
+    float coef = g * inv_std / static_cast<float>(m);
+    for (int64_t i = 0; i < n; ++i) {
+      const float* dy = gd + (i * channels_ + c) * hw;
+      const float* xh = xhd + (i * channels_ + c) * hw;
+      float* pdx = dxd + (i * channels_ + c) * hw;
+      for (int64_t k = 0; k < hw; ++k) {
+        pdx[k] = coef * (static_cast<float>(m) * dy[k] -
+                         static_cast<float>(sum_dy) -
+                         xh[k] * static_cast<float>(sum_dy_xhat));
+      }
+    }
+  }
   trained_forward_ = false;
   x_hat_ = Tensor();
   return dx;
@@ -540,13 +488,11 @@ Tensor ReLU::Forward(const Tensor& x, bool training) {
   const float* src = x.data();
   float* dst = y.MutableData();
   float* mask = training ? mask_.MutableData() : nullptr;
-  automc::ParallelFor(x.numel(), kElemwiseGrain, [=](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      bool pos = src[i] > 0.0f;
-      dst[i] = pos ? src[i] : 0.0f;
-      if (mask != nullptr) mask[i] = pos ? 1.0f : 0.0f;
-    }
-  });
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    bool pos = src[i] > 0.0f;
+    dst[i] = pos ? src[i] : 0.0f;
+    if (mask != nullptr) mask[i] = pos ? 1.0f : 0.0f;
+  }
   return y;
 }
 
@@ -556,9 +502,7 @@ Tensor ReLU::Backward(const Tensor& grad_out) {
   const float* g = grad_out.data();
   const float* mask = mask_.data();
   float* dst = dx.MutableData();
-  automc::ParallelFor(dx.numel(), kElemwiseGrain, [=](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) dst[i] = g[i] * mask[i];
-  });
+  for (int64_t i = 0; i < dx.numel(); ++i) dst[i] = g[i] * mask[i];
   mask_ = Tensor();
   return dx;
 }
@@ -604,17 +548,11 @@ float LMAActivation::Eval(float x, int64_t seg) const {
 Tensor LMAActivation::Forward(const Tensor& x, bool training) {
   if (training) x_cache_ = x;
   Tensor y(x.shape());
-  // Forward reads only the (shared, immutable here) slope/offset params, so
-  // elementwise chunks are independent. Backward stays serial: every element
-  // accumulates into the same slope/offset gradients.
   const float* src = x.data();
   float* dst = y.MutableData();
-  automc::ParallelFor(x.numel(), kElemwiseGrain, [&, src, dst](int64_t b,
-                                                               int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      dst[i] = Eval(src[i], SegmentOf(src[i]));
-    }
-  });
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    dst[i] = Eval(src[i], SegmentOf(src[i]));
+  }
   return y;
 }
 
@@ -664,40 +602,32 @@ Tensor MaxPool2d::Forward(const Tensor& x, bool training) {
     x_shape_ = x.shape();
     argmax_.assign(static_cast<size_t>(n * c * oh * ow), 0);
   }
-  // Parallel over (sample, channel) maps; each map writes a disjoint
-  // [oh, ow] output slice at a base index computed from the map id, so no
-  // running counter crosses chunk boundaries.
-  int64_t per_map = oh * ow;
   const float* xd = x.data();
   float* yd = y.MutableData();
   int64_t* am = training ? argmax_.data() : nullptr;
-  int64_t kernel = kernel_, stride = stride_;
-  automc::ParallelFor(
-      n * c, ChannelGrain(n * c, per_map * kernel * kernel),
-      [=](int64_t m0, int64_t m1) {
-        for (int64_t map = m0; map < m1; ++map) {
-          const float* xp = xd + map * h * w;
-          int64_t out_idx = map * per_map;
-          for (int64_t oi = 0; oi < oh; ++oi) {
-            for (int64_t oj = 0; oj < ow; ++oj, ++out_idx) {
-              float best = -std::numeric_limits<float>::infinity();
-              int64_t best_idx = 0;
-              for (int64_t ki = 0; ki < kernel; ++ki) {
-                for (int64_t kj = 0; kj < kernel; ++kj) {
-                  int64_t si = oi * stride + ki, sj = oj * stride + kj;
-                  float v = xp[si * w + sj];
-                  if (v > best) {
-                    best = v;
-                    best_idx = si * w + sj;
-                  }
-                }
-              }
-              yd[out_idx] = best;
-              if (am != nullptr) am[out_idx] = best_idx;
+  const int64_t kernel = kernel_, stride = stride_;
+  int64_t out_idx = 0;
+  for (int64_t map = 0; map < n * c; ++map) {
+    const float* xp = xd + map * h * w;
+    for (int64_t oi = 0; oi < oh; ++oi) {
+      for (int64_t oj = 0; oj < ow; ++oj, ++out_idx) {
+        float best = -std::numeric_limits<float>::infinity();
+        int64_t best_idx = 0;
+        for (int64_t ki = 0; ki < kernel; ++ki) {
+          for (int64_t kj = 0; kj < kernel; ++kj) {
+            int64_t si = oi * stride + ki, sj = oj * stride + kj;
+            float v = xp[si * w + sj];
+            if (v > best) {
+              best = v;
+              best_idx = si * w + sj;
             }
           }
         }
-      });
+        yd[out_idx] = best;
+        if (am != nullptr) am[out_idx] = best_idx;
+      }
+    }
+  }
   return y;
 }
 
@@ -707,20 +637,16 @@ Tensor MaxPool2d::Backward(const Tensor& grad_out) {
   Tensor dx(x_shape_);
   int64_t per_map = grad_out.size(2) * grad_out.size(3);
   // Each (sample, channel) map scatters only into its own [h, w] slice of
-  // dx, so maps are independent.
+  // dx.
   const float* gd = grad_out.data();
   const int64_t* am = argmax_.data();
   float* dxd = dx.MutableData();
-  automc::ParallelFor(
-      n * c, ChannelGrain(n * c, per_map),
-      [=](int64_t m0, int64_t m1) {
-        for (int64_t map = m0; map < m1; ++map) {
-          float* dxp = dxd + map * h * w;
-          const float* gp = gd + map * per_map;
-          const int64_t* ap = am + map * per_map;
-          for (int64_t p = 0; p < per_map; ++p) dxp[ap[p]] += gp[p];
-        }
-      });
+  for (int64_t map = 0; map < n * c; ++map) {
+    float* dxp = dxd + map * h * w;
+    const float* gp = gd + map * per_map;
+    const int64_t* ap = am + map * per_map;
+    for (int64_t p = 0; p < per_map; ++p) dxp[ap[p]] += gp[p];
+  }
   argmax_.clear();
   return dx;
 }
@@ -737,15 +663,12 @@ Tensor GlobalAvgPool::Forward(const Tensor& x, bool training) {
   const float* xd = x.data();
   float* yd = y.MutableData();
   int64_t hw = h * w;
-  automc::ParallelFor(n * c, ChannelGrain(n * c, hw),
-                      [=](int64_t m0, int64_t m1) {
-                        for (int64_t map = m0; map < m1; ++map) {
-                          const float* p = xd + map * hw;
-                          double s = 0.0;
-                          for (int64_t k = 0; k < hw; ++k) s += p[k];
-                          yd[map] = static_cast<float>(s) * inv;
-                        }
-                      });
+  for (int64_t map = 0; map < n * c; ++map) {
+    const float* p = xd + map * hw;
+    double s = 0.0;
+    for (int64_t k = 0; k < hw; ++k) s += p[k];
+    yd[map] = static_cast<float>(s) * inv;
+  }
   return y;
 }
 
@@ -757,14 +680,11 @@ Tensor GlobalAvgPool::Backward(const Tensor& grad_out) {
   const float* gd = grad_out.data();
   float* dxd = dx.MutableData();
   int64_t hw = h * w;
-  automc::ParallelFor(n * c, ChannelGrain(n * c, hw),
-                      [=](int64_t m0, int64_t m1) {
-                        for (int64_t map = m0; map < m1; ++map) {
-                          float g = gd[map] * inv;
-                          float* p = dxd + map * hw;
-                          for (int64_t k = 0; k < hw; ++k) p[k] = g;
-                        }
-                      });
+  for (int64_t map = 0; map < n * c; ++map) {
+    float g = gd[map] * inv;
+    float* p = dxd + map * hw;
+    for (int64_t k = 0; k < hw; ++k) p[k] = g;
+  }
   x_shape_.clear();
   return dx;
 }

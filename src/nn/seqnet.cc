@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/thread_pool.h"
-
 namespace automc {
 namespace nn {
 
@@ -14,10 +12,7 @@ namespace {
 
 float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
-// y = W x (+accumulate into y), W is [out, in], x is [in]. Rows are
-// independent dot products, so large layers (the RL controller's action head
-// scores every strategy at once) split across the pool; the grain depends
-// only on the shape, and tiny GRU/MLP layers stay single-chunk (serial).
+// y = W x (+accumulate into y), W is [out, in], x is [in].
 void MatVec(const Tensor& w, const Tensor& x, Tensor* y) {
   int64_t out = w.size(0), in = w.size(1);
   AUTOMC_CHECK_EQ(x.numel(), in);
@@ -25,17 +20,14 @@ void MatVec(const Tensor& w, const Tensor& x, Tensor* y) {
   const float* wd = w.data();
   const float* xd = x.data();
   float* yd = y->MutableData();
-  int64_t grain = std::max<int64_t>(1, (1 << 14) / std::max<int64_t>(1, in));
-  automc::ParallelFor(out, grain, [=](int64_t o0, int64_t o1) {
-    for (int64_t o = o0; o < o1; ++o) {
-      const float* row = wd + o * in;
-      double s = 0.0;
-      for (int64_t i = 0; i < in; ++i) {
-        s += static_cast<double>(row[i]) * xd[i];
-      }
-      yd[o] += static_cast<float>(s);
+  for (int64_t o = 0; o < out; ++o) {
+    const float* row = wd + o * in;
+    double s = 0.0;
+    for (int64_t i = 0; i < in; ++i) {
+      s += static_cast<double>(row[i]) * xd[i];
     }
-  });
+    yd[o] += static_cast<float>(s);
+  }
 }
 
 // dx += W^T dy.

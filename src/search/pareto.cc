@@ -1,10 +1,5 @@
 #include "search/pareto.h"
 
-#include <algorithm>
-#include <cstdint>
-
-#include "common/thread_pool.h"
-
 namespace automc {
 namespace search {
 
@@ -16,29 +11,15 @@ bool Dominates(const std::pair<double, double>& x,
 
 std::vector<size_t> ParetoFrontIndices(
     const std::vector<std::pair<double, double>>& points) {
-  // The O(n^2) domination test parallelizes over the outer index: each
-  // point's dominated flag is computed independently (reads only), and the
-  // surviving indices are collected serially in increasing order, so the
-  // result is identical for any thread count. Every searcher calls this each
-  // round on its full candidate/archive set.
-  std::vector<uint8_t> dominated(points.size(), 0);
-  int64_t n = static_cast<int64_t>(points.size());
-  // ~64 comparisons-squared worth of work per chunk.
-  int64_t grain = n > 0 ? std::max<int64_t>(1, 4096 / n) : 1;
-  automc::ParallelFor(n, grain, [&](int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      for (int64_t j = 0; j < n; ++j) {
-        if (j != i && Dominates(points[static_cast<size_t>(j)],
-                                points[static_cast<size_t>(i)])) {
-          dominated[static_cast<size_t>(i)] = 1;
-          break;
-        }
-      }
-    }
-  });
+  // The O(n^2) domination test keeps every point no other point dominates,
+  // in increasing index order.
   std::vector<size_t> front;
   for (size_t i = 0; i < points.size(); ++i) {
-    if (!dominated[i]) front.push_back(i);
+    bool dominated = false;
+    for (size_t j = 0; j < points.size() && !dominated; ++j) {
+      dominated = j != i && Dominates(points[j], points[i]);
+    }
+    if (!dominated) front.push_back(i);
   }
   return front;
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "tensor/simd.h"
 #include "tensor/tune.h"
 
@@ -14,49 +13,23 @@ namespace tensor {
 
 namespace {
 
-// Minimum multiply-adds one ParallelFor chunk should amortize; below this
-// the whole GEMM runs as a single chunk (i.e. serial).
-constexpr int64_t kFlopsPerChunk = 1 << 17;
-
-// Rows per chunk so each chunk carries ~kFlopsPerChunk multiply-adds,
-// rounded up to a multiple of `round_to` so register-blocked row bands
-// cover whole chunks. Depends only on the problem shape and tile choice,
-// never on the thread count.
-int64_t RowGrain(int64_t m, int64_t flops_per_row, int64_t round_to = 4) {
-  if (flops_per_row <= 0) return m > 0 ? m : 1;
-  int64_t rows = kFlopsPerChunk / flops_per_row;
-  if (rows < 1) rows = 1;
-  rows = (rows + round_to - 1) / round_to * round_to;
-  if (rows > m && m > 0) rows = m;
-  return rows;
-}
-
 // All three GEMM entry points funnel through here. The AVX2 path packs B
-// once on the calling thread (the packed panels live in that thread's
-// scratch, which stays valid while ParallelFor blocks on the chunks) and
-// hands row ranges to the tiled microkernels; every other mode — and
-// shapes too narrow to fill one 8-column panel — runs the scalar fma-chain
-// kernel over the same row ranges. Both kernels honour the microkernel
-// contract in simd.h, so which branch runs never changes the bits; chunk
-// boundaries are a pure function of (m, grain), so neither does the thread
-// count.
+// into this thread's scratch and runs the tiled microkernels over every
+// row; every other mode — and shapes too narrow to fill one 8-column
+// panel — runs the scalar fma-chain kernel. Both kernels honour the
+// microkernel contract in simd.h, so which branch runs never changes the
+// bits.
 void GemmDispatch(simd::GemmOp op, const float* a, const float* b, float* c,
                   int64_t m, int64_t k, int64_t n) {
   if (simd::ActiveMode() == simd::SimdMode::kAvx2 && n >= 8) {
     AUTOMC_METRIC_COUNT("simd.gemm_avx2");
     const simd::TileParams p = simd::ChooseTile(op, m, k, n);
     const simd::PackedB pb = simd::PackB(op, b, k, n, p.nv);
-    automc::ParallelFor(m, RowGrain(m, k * n, p.mr),
-                        [=](int64_t r0, int64_t r1) {
-                          simd::GemmRowsAvx2(op, p, a, pb, b, c, m, k, n, r0,
-                                             r1);
-                        });
+    simd::GemmRowsAvx2(op, p, a, pb, b, c, m, k, n, 0, m);
     return;
   }
   AUTOMC_METRIC_COUNT("simd.gemm_scalar");
-  automc::ParallelFor(m, RowGrain(m, k * n), [=](int64_t r0, int64_t r1) {
-    simd::GemmRowsScalar(op, a, b, c, m, k, n, r0, r1);
-  });
+  simd::GemmRowsScalar(op, a, b, c, m, k, n, 0, m);
 }
 
 }  // namespace
@@ -213,20 +186,18 @@ Tensor LogSoftmax(const Tensor& logits) {
   Tensor out({n, c});
   const float* src = logits.data();
   float* dst = out.MutableData();
-  automc::ParallelFor(n, RowGrain(n, 3 * c), [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* row = src + i * c;
-      float* orow = dst + i * c;
-      float mx = row[0];
-      for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
-      double sum = 0.0;
-      for (int64_t j = 0; j < c; ++j) {
-        sum += std::exp(static_cast<double>(row[j]) - mx);
-      }
-      float lse = mx + static_cast<float>(std::log(sum));
-      for (int64_t j = 0; j < c; ++j) orow[j] = row[j] - lse;
+  for (int64_t i = 0; i < n; ++i) {
+    const float* row = src + i * c;
+    float* orow = dst + i * c;
+    float mx = row[0];
+    for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
+    double sum = 0.0;
+    for (int64_t j = 0; j < c; ++j) {
+      sum += std::exp(static_cast<double>(row[j]) - mx);
     }
-  });
+    float lse = mx + static_cast<float>(std::log(sum));
+    for (int64_t j = 0; j < c; ++j) orow[j] = row[j] - lse;
+  }
   return out;
 }
 

@@ -11,10 +11,9 @@ namespace simd {
 namespace {
 
 // Growable 64-byte-aligned per-thread pack scratch. One buffer per thread
-// suffices: a GEMM packs, then consumes the packed panels inside its own
-// ParallelFor before returning, and nested GEMMs (conv's per-group calls
-// from inside a worker) run their loops inline, so a thread never packs
-// while an earlier pack on the same thread is still live.
+// suffices: a GEMM packs, then consumes the packed panels on the same
+// thread before returning, so a thread never packs while an earlier pack
+// on it is still live.
 struct PackScratch {
   float* data = nullptr;
   size_t capacity = 0;

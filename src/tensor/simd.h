@@ -25,10 +25,10 @@ namespace simd {
 // other value; no path skips a product (the old scalar kernels skipped
 // av == 0.0f in their tail loops, which made tails and tiles bitwise
 // incomparable — that shortcut is intentionally gone). Tiling parameters
-// (MR/NV/KC), panel packing, chunk boundaries, and the SIMD/scalar choice
-// only reorder *which elements* are computed when, never the per-element
-// chain, so results are bit-identical across every tuning, every
-// AUTOMC_SIMD setting, and every AUTOMC_THREADS value.
+// (MR/NV/KC), panel packing, row ranges, and the SIMD/scalar choice only
+// reorder *which elements* are computed when, never the per-element chain,
+// so results are bit-identical across every tuning and every AUTOMC_SIMD
+// setting.
 //
 // Dispatch
 // --------
@@ -87,9 +87,8 @@ struct PackedB {
 // holds columns [g*8*nv, ...) as k rows of 8*nv contiguous floats, so the
 // microkernel streams one aligned linear buffer per group. The returned
 // pointer aliases a growable thread-local scratch buffer owned by the
-// calling thread; it stays valid until that same thread packs again, which
-// is guaranteed not to happen while the ParallelFor consuming it is in
-// flight (nested GEMMs run inline and complete before the body returns).
+// calling thread; it stays valid until that same thread packs again, and
+// the GEMM that packed consumes it before it returns.
 PackedB PackB(GemmOp op, const float* b, int64_t k, int64_t n, int32_t nv);
 
 // Scalar reference kernel: rows [r0, r1), columns [0, n), full-k fma

@@ -38,8 +38,7 @@ namespace tensor {
 // Thread safety: distinct Tensor objects aliasing one buffer may be read
 // and materialized concurrently (the shared_ptr control block is atomic;
 // buffer bytes are immutable while shared). The same Tensor object is not
-// thread-safe — parallel kernels must hoist `data()`/`MutableData()`
-// pointers before entering ParallelFor.
+// thread-safe: concurrent pool tasks must each use their own Tensor objects.
 class Tensor {
  public:
   // Buffers are 64-byte aligned so `data()`/`MutableData()` of any tensor

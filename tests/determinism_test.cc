@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/run_spec.h"
 #include "gtest/gtest.h"
 #include "nn/serialize.h"
@@ -18,6 +17,7 @@
 #include "search/progressive.h"
 #include "search/report.h"
 #include "search/rl.h"
+#include "test_util.h"
 
 namespace automc {
 namespace search {
@@ -55,11 +55,7 @@ struct Fixture {
   }
 };
 
-class PoolGuard {
- public:
-  explicit PoolGuard(int threads) { ThreadPool::ResetGlobal(threads); }
-  ~PoolGuard() { ThreadPool::ResetGlobal(1); }
-};
+using testing::PoolGuard;
 
 TEST(DeterminismTest, TrainerFitLossIsThreadCountInvariant) {
   auto run = [](int threads) {

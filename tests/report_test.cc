@@ -67,7 +67,7 @@ TEST(ReportTest, SaveRejectsNullAndInconsistentOutcome) {
 }
 
 TEST(ReportTest, LoadRejectsBadHeader) {
-  for (const std::string bad :
+  for (const std::string& bad :
        {std::string(""), std::string("garbage"),
         std::string("AUTOMC_OUTCOME 2\n"),  // future version
         std::string("NOT_AN_OUTCOME 1\n")}) {

@@ -392,11 +392,14 @@ double StatusPollUs(Client* client, int polls) {
 }
 
 // Idle sockets raise no epoll events, so 1,000 parked connections may slow
-// the status polls of one active connection by at most 2x. Short poll
-// windows alternate without and with the parked connections; the median of
-// the paired ratios is the slowdown, so neither a busy moment nor a drift
-// in the machine's load over the run biases it.
-TEST(ServerTest, ThousandIdleConnectionsSlowStatusPollsUnder2x) {
+// the status polls of one active connection by at most 2x, with the idle
+// sweep off (0) and on (an hour: it walks the connections, reaps none).
+// Short poll windows alternate without and with the parked connections;
+// the median of the paired ratios is the slowdown, so neither a busy moment
+// nor a drift in the machine's load over the run biases it.
+class IdleConnectionsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(IdleConnectionsTest, ThousandIdleConnectionsSlowStatusPollsUnder2x) {
   constexpr int kIdle = 1000, kRounds = 9, kPolls = 2000;
   // Each parked connection holds two descriptors here: the client end and
   // the server's accepted end.
@@ -413,7 +416,7 @@ TEST(ServerTest, ThousandIdleConnectionsSlowStatusPollsUnder2x) {
   server::Server::Options opts;
   opts.socket_path = dir.File("s.sock");
   opts.jobs.workdir = dir.File("wd");
-  opts.idle_timeout_s = 0;
+  opts.idle_timeout_s = GetParam();
   auto srv = server::Server::Start(opts);
   ASSERT_TRUE(srv.ok()) << srv.status().ToString();
   auto client = Client::Connect(opts.socket_path);
@@ -447,6 +450,9 @@ TEST(ServerTest, ThousandIdleConnectionsSlowStatusPollsUnder2x) {
                          << "x)";
   (*srv)->Stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(IdleTimeoutS, IdleConnectionsTest,
+                         ::testing::Values(0, 3600));
 
 TEST(ServerTest, SubmitPollFetchMatchesDirectRun) {
   ScopedTempDir dir("server_rt");

@@ -4,14 +4,38 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "common/matrix.h"
+#include "common/metrics.h"
+#include "data/dataset.h"
 #include "gtest/gtest.h"
+#include "nn/layers.h"
+#include "nn/model.h"
+#include "nn/trainer.h"
+#include "search/fmo.h"
+#include "search/pareto.h"
+#include "test_util.h"
 
 namespace automc {
 namespace {
+
+// pool.tasks counts the chunks of every loop that fans out, while metrics
+// are recorded.
+bool PoolTasksRecorded() {
+#ifdef AUTOMC_DISABLE_METRICS
+  return false;
+#else
+  return metrics::Enabled();
+#endif
+}
+
+int64_t PoolTasks() {
+  return metrics::MetricsRegistry::Global().GetCounter("pool.tasks").value();
+}
 
 TEST(ThreadPoolTest, NumChunksMatchesCeilDiv) {
   EXPECT_EQ(ThreadPool::NumChunks(0, 4), 0);
@@ -125,15 +149,22 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   ThreadPool pool(4);
   std::atomic<int> inner_total{0};
   pool.ParallelFor(8, 1, [&](int64_t, int64_t) {
-    EXPECT_TRUE(ThreadPool::InWorker());
-    // Nested loop must complete inline without deadlock.
+    std::thread::id outer = std::this_thread::get_id();
+    // Nested loop must complete inline, on the outer chunk's thread,
+    // without deadlock.
     pool.ParallelFor(4, 1,
                      [&](int64_t b, int64_t e) {
+                       EXPECT_EQ(std::this_thread::get_id(), outer);
                        inner_total.fetch_add(static_cast<int>(e - b));
                      });
   });
   EXPECT_EQ(inner_total.load(), 32);
-  EXPECT_FALSE(ThreadPool::InWorker());
+  // Back at top level, the caller fans a loop out again.
+  if (PoolTasksRecorded()) {
+    int64_t before = PoolTasks();
+    pool.ParallelFor(2, 1, [](int64_t, int64_t) {});
+    EXPECT_EQ(PoolTasks() - before, 2);
+  }
 }
 
 TEST(ThreadPoolTest, SerialPoolRunsCallerInline) {
@@ -154,6 +185,64 @@ TEST(ThreadPoolTest, ResetGlobalChangesThreadCount) {
   EXPECT_EQ(sum.load(), 4950);
   ThreadPool::ResetGlobal(1);
   EXPECT_EQ(ThreadPool::Global().threads(), 1);
+}
+
+// Parallelism lives only in whole tasks: one training epoch through every
+// layer kind, a Matrix product, a Pareto front and an F_mo step run on the
+// caller and start no pool task, even with four lanes to fan out to.
+TEST(ThreadPoolTest, KernelsNeverEnterThePool) {
+  if (!PoolTasksRecorded()) GTEST_SKIP() << "pool.tasks is not recorded";
+  testing::PoolGuard guard(4);
+  int64_t before = PoolTasks();
+
+  data::SyntheticTaskConfig cfg;
+  cfg.num_classes = 3;
+  cfg.train_per_class = 22;
+  cfg.test_per_class = 2;
+  data::TaskData task = data::MakeSyntheticTask(cfg);
+  Rng rng(3);
+  auto net = std::make_unique<nn::Sequential>();
+  net->Add(std::make_unique<nn::Conv2d>(3, 8, 3, 1, 1, true, &rng));
+  net->Add(std::make_unique<nn::BatchNorm2d>(8));
+  net->Add(std::make_unique<nn::ReLU>());
+  net->Add(std::make_unique<nn::Conv2d>(8, 8, 3, 1, 1, false, &rng));
+  net->Add(std::make_unique<nn::LMAActivation>(3, 1.5f));
+  net->Add(std::make_unique<nn::MaxPool2d>(2, 2));
+  net->Add(std::make_unique<nn::GlobalAvgPool>());
+  net->Add(std::make_unique<nn::Flatten>());
+  net->Add(std::make_unique<nn::Linear>(8, 3, &rng));
+  nn::ModelSpec spec;
+  spec.family = "custom";
+  spec.num_classes = 3;
+  nn::Model model(spec, std::move(net));
+  nn::TrainConfig tc;
+  tc.epochs = 1;
+  tc.batch_size = 32;
+  ASSERT_TRUE(nn::Trainer(tc).Fit(&model, task.train).ok());
+  EXPECT_EQ(PoolTasks() - before, 0) << "a training epoch entered the pool";
+  before = PoolTasks();
+
+  Matrix a(64, 64);
+  for (int64_t i = 0; i < 64; ++i) a.at(i, (i * 7) % 64) = 1.0 + i;
+  EXPECT_EQ(a.Multiply(a).rows(), 64);
+  EXPECT_EQ(PoolTasks() - before, 0) << "Matrix::Multiply entered the pool";
+  before = PoolTasks();
+
+  std::vector<std::pair<double, double>> points;
+  for (int i = 0; i < 256; ++i) points.emplace_back(i % 17, -(i % 13));
+  EXPECT_FALSE(search::ParetoFrontIndices(points).empty());
+  EXPECT_EQ(PoolTasks() - before, 0) << "ParetoFrontIndices entered the pool";
+  before = PoolTasks();
+
+  search::Fmo fmo(16, 7, /*seed=*/5);
+  search::FmoExample ex;
+  ex.sequence = {tensor::Tensor::Randn({16}, &rng)};
+  ex.candidate = tensor::Tensor::Randn({16}, &rng);
+  ex.task = tensor::Tensor::Randn({7}, &rng);
+  ex.ar_step = 0.1f;
+  ex.pr_step = 0.2f;
+  fmo.TrainBatch(std::vector<search::FmoExample>(8, ex));
+  EXPECT_EQ(PoolTasks() - before, 0) << "Fmo::TrainBatch entered the pool";
 }
 
 }  // namespace
