@@ -15,7 +15,10 @@
 3. Metric coverage: every name passed to AUTOMC_METRIC_COUNT/GAUGE/OBSERVE
    or AUTOMC_SCOPED_TIMER in src/ must appear in backticks in
    docs/observability.md. The macros accept string literals only, so the
-   scan sees every recorded name.
+   scan sees every recorded name. In reverse, every backticked dotted name
+   (such as `search.stops`; paths are not names) in that page's "What is
+   instrumented" section must be recorded by a macro site in src/, so a
+   metric cannot stay documented after its last site is gone.
 4. Repo paths: every backticked path under bench/, scripts/, src/, tests/
    or examples/, and every root BENCH_*.json, named in a .md file must
    exist, as named or with a .cc, .h or .cpp suffix (docs name binaries
@@ -38,6 +41,10 @@ HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 QUOTED_KNOB_RE = re.compile(r'"(AUTOMC_[A-Z][A-Z0-9_]*)"')
 METRIC_SITE_RE = re.compile(
     r'AUTOMC_(?:METRIC_(?:COUNT|GAUGE|OBSERVE)|SCOPED_TIMER)\(\s*"([^"]+)"')
+METRIC_NAME_RE = re.compile(r"[a-z][a-z0-9_]*(?:\.[A-Za-z0-9_]+)+")
+# The metric list: from its heading to the next heading of any level.
+INSTRUMENTED_RE = re.compile(r"^## What is instrumented\n(.*?)(?=^#|\Z)",
+                             re.M | re.S)
 SKIP_DIRS = {".git", "build", "build-san", "third_party", ".claude"}
 KNOB_DIRS = ("src", "examples", "bench", "scripts", "tests")
 # A knob table runs from its `| Variable |` header to the first blank line.
@@ -151,9 +158,16 @@ def check_metrics():
     if not os.path.exists(doc):
         return ["docs/observability.md is missing"]
     with open(doc, encoding="utf-8") as f:
-        documented = set(re.findall(r"`([^`]+)`", f.read()))
+        content = f.read()
+    documented = set(re.findall(r"`([^`]+)`", content))
+    section = INSTRUMENTED_RE.search(content)
+    if section is None:
+        return ['docs/observability.md: no "What is instrumented" section']
+    listed = {span for span in CODE_SPAN_RE.findall(section.group(1))
+              if METRIC_NAME_RE.fullmatch(span)}
 
     errors = []
+    all_recorded = set()
     for root, dirs, files in os.walk(os.path.join(REPO, "src")):
         for name in files:
             if not name.endswith((".cc", ".h")):
@@ -161,10 +175,14 @@ def check_metrics():
             path = os.path.join(root, name)
             with open(path, encoding="utf-8") as f:
                 recorded = set(METRIC_SITE_RE.findall(f.read()))
+            all_recorded |= recorded
             for metric in sorted(recorded - documented):
                 errors.append(
                     f"{os.path.relpath(path, REPO)}: metric {metric} not in "
                     "docs/observability.md")
+    for metric in sorted(listed - all_recorded):
+        errors.append(f"docs/observability.md: metric {metric}, which no "
+                      "macro site in src/ records")
     return errors
 
 

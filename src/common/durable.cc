@@ -155,6 +155,21 @@ Result<std::string> ReadFile(const std::string& path, size_t max_bytes) {
 
 Status AtomicWriteFile(const std::string& path,
                        const std::function<Status(const ByteSink&)>& produce) {
+  const auto sink_to = [&path](int fd) {
+    return [fd, &path](std::string_view bytes) {
+      return GatedWrite(fd, bytes, path);
+    };
+  };
+  struct stat target;
+  if (::lstat(path.c_str(), &target) == 0 && !S_ISREG(target.st_mode)) {
+    // A symlink, a device or a FIFO: a move would replace it with a plain
+    // file, so write through it in place.
+    const int fd = ::open(path.c_str(), O_WRONLY | O_TRUNC | O_CLOEXEC);
+    if (fd < 0) return Failed("cannot open " + path);
+    Status st = produce(sink_to(fd));
+    if (::close(fd) != 0 && st.ok()) st = Failed("close " + path);
+    return st;
+  }
   AUTOMC_RETURN_IF_ERROR(Gated(fault::Op::kCreate, path));
   std::string tmp;
   int fd = -1;
@@ -163,13 +178,14 @@ Status AtomicWriteFile(const std::string& path,
     tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
           std::to_string(g_temp_serial.fetch_add(1));
     fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd < 0 && errno == ENOENT) {
+      return Status::NotFound("no directory for " + path);
+    }
     if (fd < 0 && (errno != EEXIST || attempt >= 16)) {
       return Failed("cannot create " + tmp);
     }
   }
-  Status st = produce([fd, &path](std::string_view bytes) {
-    return GatedWrite(fd, bytes, path);
-  });
+  Status st = produce(sink_to(fd));
   if (st.ok()) st = SyncFd(fd, path);
   if (::close(fd) != 0 && st.ok()) st = Failed("close " + tmp);
   if (st.ok()) st = Gated(fault::Op::kRename, path);

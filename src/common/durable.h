@@ -17,13 +17,14 @@ namespace durable {
 
 // The one home of the durable-file mechanics under job files, checkpoints,
 // experience logs, the shared experience index, the artifact registry and
-// the GEMM tune cache. A write through this layer survives a process kill
-// or a power loss at any instant: a whole-file replace leaves the old file
-// or the new one, and a framed log loses at most a torn final frame. A
-// replace writes a temp file named after the target, the process id and a
-// per-process counter, so concurrent writers of one path never mix bytes
-// (the last to finish wins); directory scans match their data files
-// exactly, so a temp file a crash left behind is never read.
+// the whole-file outputs (models, outcomes, CSVs, the metrics export). A
+// write through this layer survives a process kill or a power loss at any
+// instant: a whole-file replace leaves the old file or the new one, and a
+// framed log loses at most a torn final frame. A replace writes a temp
+// file named after the target, the process id and a per-process counter,
+// so concurrent writers of one path never mix bytes (the last to finish
+// wins); directory scans match their data files exactly, so a temp file a
+// crash left behind is never read.
 
 inline constexpr size_t kNoSizeLimit = std::numeric_limits<size_t>::max();
 
@@ -35,7 +36,11 @@ using ByteSink = std::function<Status(std::string_view bytes)>;
 
 // Replaces `path` atomically: writes a fresh temp file beside it, syncs it
 // to disk, moves it over `path`, then syncs the directory. On failure the
-// temp file is deleted and `path` is untouched. Mode: 0666 & ~umask.
+// temp file is deleted and `path` is untouched; kNotFound when its
+// directory does not exist. Mode: 0666 & ~umask. A `path` that exists and
+// is not itself a regular file (a symlink, a device such as /dev/stdout,
+// or a FIFO) is opened and written in place instead, with no temp file and
+// no sync, so the link, device or pipe stays what it is.
 Status AtomicWriteFile(const std::string& path, std::string_view bytes);
 // Streaming form: `produce` writes through the sink; an error from either
 // aborts the replace.

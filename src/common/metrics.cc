@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/durable.h"
 #include "common/logging.h"
 #include "common/trace.h"
 
@@ -233,12 +234,7 @@ std::string MetricsRegistry::ToJson() const {
 }
 
 bool MetricsRegistry::WriteJson(const std::string& path) const {
-  std::string json = ToJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
+  return durable::AtomicWriteFile(path, ToJson()).ok();
 }
 
 bool MetricsRegistry::DumpIfConfigured() const {

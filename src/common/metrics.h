@@ -121,7 +121,8 @@ class MetricsRegistry {
   // object: {"counters":{...},"gauges":{...},"histograms":{...},"trace":[..]}.
   std::string ToJson() const;
 
-  // Writes ToJson() to `path`; false on I/O failure.
+  // Replaces `path` with ToJson() (durable::AtomicWriteFile); false on I/O
+  // failure.
   bool WriteJson(const std::string& path) const;
 
   // Writes ToJson() to $AUTOMC_METRICS_OUT when that is set and non-empty.

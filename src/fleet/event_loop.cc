@@ -313,6 +313,7 @@ void EventLoop::SweepIdle() {
   // walking every connection after each wakeup.
   if (now - last_sweep_ < std::chrono::seconds(1)) return;
   last_sweep_ = now;
+  AUTOMC_METRIC_COUNT("server.idle_sweeps");
   const auto limit = std::chrono::seconds(options_.idle_timeout_s);
   std::vector<int> stale;
   for (const auto& [fd, conn] : conns_) {

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 
 #include "common/bytes.h"
 #include "common/durable.h"
@@ -466,9 +466,9 @@ Result<std::unique_ptr<Model>> DeserializeModel(std::string_view bytes) {
 }
 
 Status SaveModel(Model* model, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) return Status::NotFound("cannot open " + path);
-  return SerializeModel(model, &out);
+  std::ostringstream out;
+  AUTOMC_RETURN_IF_ERROR(SerializeModel(model, &out));
+  return durable::AtomicWriteFile(path, out.str());
 }
 
 Result<std::unique_ptr<Model>> LoadModel(const std::string& path) {

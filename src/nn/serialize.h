@@ -31,7 +31,8 @@ Status SerializeModel(Model* model, std::ostream* out);
 // refused.
 Result<std::unique_ptr<Model>> DeserializeModel(std::string_view bytes);
 
-// File convenience wrappers.
+// File convenience wrappers. SaveModel replaces the file whole through
+// durable::AtomicWriteFile.
 Status SaveModel(Model* model, const std::string& path);
 Result<std::unique_ptr<Model>> LoadModel(const std::string& path);
 

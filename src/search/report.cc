@@ -3,8 +3,10 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 
 #include "common/bytes.h"
+#include "common/durable.h"
 #include "search/snapshot_util.h"
 
 namespace automc {
@@ -38,9 +40,9 @@ Status WriteHistoryCsv(const SearchOutcome& outcome, std::ostream* out) {
 
 Status WriteHistoryCsvFile(const SearchOutcome& outcome,
                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) return Status::NotFound("cannot open " + path);
-  return WriteHistoryCsv(outcome, &out);
+  std::ostringstream out;
+  AUTOMC_RETURN_IF_ERROR(WriteHistoryCsv(outcome, &out));
+  return durable::AtomicWriteFile(path, out.str());
 }
 
 Status WriteParetoCsv(const SearchOutcome& outcome, const SearchSpace& space,
@@ -62,9 +64,9 @@ Status WriteParetoCsv(const SearchOutcome& outcome, const SearchSpace& space,
 
 Status WriteParetoCsvFile(const SearchOutcome& outcome,
                           const SearchSpace& space, const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) return Status::NotFound("cannot open " + path);
-  return WriteParetoCsv(outcome, space, &out);
+  std::ostringstream out;
+  AUTOMC_RETURN_IF_ERROR(WriteParetoCsv(outcome, space, &out));
+  return durable::AtomicWriteFile(path, out.str());
 }
 
 Status SaveOutcome(const SearchOutcome& outcome, std::ostream* out) {
@@ -138,9 +140,9 @@ Result<SearchOutcome> LoadOutcome(std::istream* in) {
 }
 
 Status SaveOutcomeFile(const SearchOutcome& outcome, const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) return Status::NotFound("cannot open " + path);
-  return SaveOutcome(outcome, &out);
+  std::ostringstream out;
+  AUTOMC_RETURN_IF_ERROR(SaveOutcome(outcome, &out));
+  return durable::AtomicWriteFile(path, out.str());
 }
 
 Result<SearchOutcome> LoadOutcomeFile(const std::string& path) {

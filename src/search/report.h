@@ -13,7 +13,8 @@ namespace automc {
 namespace search {
 
 // CSV exports of search results, so the Figure 4/5 series can be plotted
-// with external tooling.
+// with external tooling. The *File forms here replace their file whole
+// through durable::AtomicWriteFile.
 
 // history.csv: executions,best_acc_feasible,best_acc_any
 Status WriteHistoryCsv(const SearchOutcome& outcome, std::ostream* out);

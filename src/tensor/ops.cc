@@ -6,7 +6,6 @@
 
 #include "common/metrics.h"
 #include "tensor/simd.h"
-#include "tensor/tune.h"
 
 namespace automc {
 namespace tensor {
@@ -14,22 +13,19 @@ namespace tensor {
 namespace {
 
 // All three GEMM entry points funnel through here. The AVX2 path packs B
-// into this thread's scratch and runs the tiled microkernels over every
-// row; every other mode — and shapes too narrow to fill one 8-column
-// panel — runs the scalar fma-chain kernel. Both kernels honour the
-// microkernel contract in simd.h, so which branch runs never changes the
-// bits.
+// into this thread's scratch and runs the tiled microkernels; every other
+// mode — and shapes too narrow to fill one 8-column panel — runs the
+// scalar fma-chain kernel. Both kernels honour the microkernel contract in
+// simd.h, so which branch runs never changes the bits.
 void GemmDispatch(simd::GemmOp op, const float* a, const float* b, float* c,
                   int64_t m, int64_t k, int64_t n) {
   if (simd::ActiveMode() == simd::SimdMode::kAvx2 && n >= 8) {
     AUTOMC_METRIC_COUNT("simd.gemm_avx2");
-    const simd::TileParams p = simd::ChooseTile(op, m, k, n);
-    const simd::PackedB pb = simd::PackB(op, b, k, n, p.nv);
-    simd::GemmRowsAvx2(op, p, a, pb, b, c, m, k, n, 0, m);
+    simd::GemmAvx2(op, a, b, c, m, k, n);
     return;
   }
   AUTOMC_METRIC_COUNT("simd.gemm_scalar");
-  simd::GemmRowsScalar(op, a, b, c, m, k, n, 0, m);
+  simd::GemmScalar(op, a, b, c, m, k, n);
 }
 
 }  // namespace

@@ -9,10 +9,9 @@ namespace tensor {
 namespace simd {
 
 // Instantiated in simd_avx2.cc (compiled with -mavx2 -mfma) when the
-// toolchain supports it; see GemmRowsScalar below.
-void GemmRowsScalarFmaTu(GemmOp op, const float* a, const float* b, float* c,
-                         int64_t m, int64_t k, int64_t n, int64_t r0,
-                         int64_t r1);
+// toolchain supports it; see GemmScalar below.
+void GemmScalarFmaTu(GemmOp op, const float* a, const float* b, float* c,
+                     int64_t m, int64_t k, int64_t n);
 
 namespace {
 
@@ -63,18 +62,18 @@ void RefreshDispatch() {
   g_mode_valid.store(true, std::memory_order_release);
 }
 
-void GemmRowsScalar(GemmOp op, const float* a, const float* b, float* c,
-                    int64_t m, int64_t k, int64_t n, int64_t r0, int64_t r1) {
+void GemmScalar(GemmOp op, const float* a, const float* b, float* c,
+                int64_t m, int64_t k, int64_t n) {
 #if defined(AUTOMC_HAVE_AVX2_KERNELS)
   // Same source, same chains — but std::fmaf inlines to vfmadd instead of
   // a libm call per element, so AUTOMC_SIMD=0 runs stay fast on FMA
   // hardware. Results are identical either way (IEEE fma is fma).
   if (HardwareOk()) {
-    GemmRowsScalarFmaTu(op, a, b, c, m, k, n, r0, r1);
+    GemmScalarFmaTu(op, a, b, c, m, k, n);
     return;
   }
 #endif
-  ScalarRowsImpl(op, a, b, c, m, k, n, r0, r1, 0, n);
+  ScalarRowsImpl(op, a, b, c, m, k, n, 0, n);
 }
 
 }  // namespace simd

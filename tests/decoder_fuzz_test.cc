@@ -1,6 +1,7 @@
 // Seeded mutation fuzzing of the decoders that read untrusted bytes: model
-// files, AMCS frame reassembly, and the RunSpec, JobInfo, ArtifactInfo,
-// outcome and archive encodings. Valid encodings are mutated by bit flips,
+// files, AMCS frame reassembly, the RunSpec, JobInfo, ArtifactInfo, outcome
+// and archive encodings, artifact manifests (.mf bodies) and experience
+// records (store and segment frames). Valid encodings are mutated by bit flips,
 // truncations, length fields inflated toward 2^32 and splices of two
 // inputs. The property: a decoder refuses its input with a typed error, or
 // accepts it and re-encoding reproduces exactly the bytes it consumed. It
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact/manifest.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "core/run_spec.h"
@@ -26,6 +28,7 @@
 #include "search/report.h"
 #include "search/searcher.h"
 #include "server/protocol.h"
+#include "store/experience_store.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 extern "C" const char* __asan_default_options() {
@@ -181,6 +184,25 @@ bool CheckArchive(const std::string& bytes) {
       [&](ByteWriter* w) { archive.Snapshot(w); });
 }
 
+bool CheckManifest(const std::string& bytes) {
+  auto manifest = artifact::DecodeManifest(bytes);
+  if (!manifest.ok()) {
+    EXPECT_EQ(manifest.status().code(), StatusCode::kDataLoss)
+        << manifest.status().ToString();
+    return false;
+  }
+  EXPECT_EQ(artifact::EncodeManifest(*manifest), bytes);
+  return true;
+}
+
+bool CheckExperienceRecord(const std::string& bytes) {
+  store::Fingerprint fp;
+  store::EvalRecord rec;
+  if (!store::DecodeExperiencePayload(bytes, &fp, &rec)) return false;
+  EXPECT_EQ(store::EncodeExperiencePayload(fp, rec), bytes);
+  return true;
+}
+
 // ---- seed encodings --------------------------------------------------------
 
 // A small model holding every layer kind of the format: a biased conv,
@@ -302,6 +324,38 @@ std::vector<std::string> Archives() {
   return {full.Take(), empty.Take()};
 }
 
+std::vector<std::string> Manifests() {
+  artifact::Manifest full;
+  full.name = "job-7.v2_final";
+  full.total_size = 3 * 4096 + 17;
+  for (int c = 0; c < 4; ++c) {
+    Sha256Digest digest{};
+    for (size_t i = 0; i < digest.size(); ++i) {
+      digest[i] = static_cast<uint8_t>(c * 31 + i);
+    }
+    full.chunks.push_back(digest);
+  }
+  full.blob_digest = full.chunks[1];
+  full.prov = {7, "2,7,1", "server job", 0.625, 4321, 98765};
+  artifact::Manifest bare;
+  bare.name = "m";
+  return {artifact::EncodeManifest(full), artifact::EncodeManifest(bare)};
+}
+
+std::vector<std::string> ExperienceRecords() {
+  store::EvalRecord rec;
+  rec.scheme = {3, 14, 15};
+  rec.acc = 0.5;
+  rec.params = 1000;
+  rec.flops = 50000;
+  rec.ar = -0.01;
+  rec.pr = 0.2;
+  rec.fr = 0.3;
+  rec.task_features = {1.0f, 2.0f, 0.5f, 4.0f, 8.0f, 16.0f, 0.25f};
+  return {store::EncodeExperiencePayload({11, 22}, rec),
+          store::EncodeExperiencePayload({0, 1}, store::EvalRecord{})};
+}
+
 // ---- the model and payload decoders -----------------------------------------
 
 TEST(DecoderFuzzTest, ModelFiles) {
@@ -320,6 +374,14 @@ TEST(DecoderFuzzTest, OutcomeBytes) { Fuzz(105, Outcomes(), CheckOutcome); }
 
 TEST(DecoderFuzzTest, ArchiveSnapshots) {
   Fuzz(106, Archives(), CheckArchive);
+}
+
+TEST(DecoderFuzzTest, ArtifactManifests) {
+  Fuzz(109, Manifests(), CheckManifest);
+}
+
+TEST(DecoderFuzzTest, ExperienceRecords) {
+  Fuzz(110, ExperienceRecords(), CheckExperienceRecord);
 }
 
 // ---- AMCS frames ------------------------------------------------------------

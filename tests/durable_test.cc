@@ -1,13 +1,18 @@
 // The durable-file layer: crash consistency of every durable writer under a
 // power cut at each of its durable operations, the publish order
 // (sync file -> move into place -> sync directory), deletes that sync their
-// directory, same-path writers that never tear each other, and golden files
-// written before the layer existed that must still decode to the same
-// values.
+// directory, same-path writers that never tear each other, FIFO and symlink
+// targets written in place, and golden files written before the layer
+// existed that must still decode to the same values.
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <barrier>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,8 +30,6 @@
 #include "store/checkpoint.h"
 #include "store/experience_index.h"
 #include "store/experience_store.h"
-#include "tensor/simd.h"
-#include "tensor/tune.h"
 #include "test_util.h"
 
 namespace automc {
@@ -460,43 +463,6 @@ TEST(CrashConsistencyTest, ExperienceStoreAppend) {
       });
 }
 
-TEST(CrashConsistencyTest, TuneCacheSave) {
-  namespace simd = tensor::simd;
-  if (!simd::KernelsCompiled() || !simd::HardwareOk()) {
-    GTEST_SKIP() << "no AVX2+FMA at runtime";
-  }
-  ScopedTempDir dir("crash_tune");
-  const std::string root = dir.File("tune");
-  const std::string path = root + "/tune.amtn";
-  ::setenv("AUTOMC_TUNE_CACHE", path.c_str(), 1);
-  ForEveryCrashPoint(
-      root,
-      [&] {
-        fs::remove_all(root);
-        fs::create_directories(root);
-        simd::ResetTunerForTest();
-        simd::ChooseTile(simd::GemmOp::kNormal, 40, 30, 50);
-      },
-      [&] {
-        simd::ResetTunerForTest();
-        simd::ChooseTile(simd::GemmOp::kTransposeB, 24, 36, 48);
-        return durable::fault::PowerIsCut()
-                   ? Status::Internal("the save was cut")
-                   : Status::OK();
-      },
-      [&](bool crashed) {
-        // The saved table is never torn: the first shape is still a hit,
-        // and after an uninterrupted save so is the second.
-        simd::ResetTunerForTest();
-        const int64_t probes = CounterValue("simd.tune_probes");
-        simd::ChooseTile(simd::GemmOp::kNormal, 40, 30, 50);
-        if (!crashed) simd::ChooseTile(simd::GemmOp::kTransposeB, 24, 36, 48);
-        EXPECT_EQ(CounterValue("simd.tune_probes"), probes);
-      });
-  ::unsetenv("AUTOMC_TUNE_CACHE");
-  simd::ResetTunerForTest();
-}
-
 TEST(CrashConsistencyTest, StreamToFile) {
   ScopedTempDir dir("crash_stream");
   const std::string root = dir.File("out");
@@ -524,6 +490,72 @@ TEST(CrashConsistencyTest, StreamToFile) {
         ASSERT_TRUE(got.ok());
         EXPECT_TRUE(*got == new_bytes || (crashed && *got == "old"));
       });
+}
+
+// A whole-file output over an existing one: the old bytes or the new ones.
+TEST(CrashConsistencyTest, OutcomeFile) {
+  ScopedTempDir dir("crash_outcome_file");
+  const std::string root = dir.File("out");
+  const std::string path = root + "/outcome.txt";
+  search::SearchOutcome old_outcome, new_outcome;
+  old_outcome.executions = 3;
+  old_outcome.history = {{3, 0.5, 0.6}};
+  new_outcome.executions = 9;
+  new_outcome.history = {{4, 0.7, 0.7}, {9, 0.75, 0.8}};
+  new_outcome.pareto_schemes = {{1, 2}};
+  new_outcome.pareto_points = {{0.8, 100, 2000, 0.01, 0.4, 0.3}};
+  std::ostringstream old_bytes, new_bytes;
+  ASSERT_TRUE(search::SaveOutcome(old_outcome, &old_bytes).ok());
+  ASSERT_TRUE(search::SaveOutcome(new_outcome, &new_bytes).ok());
+  ForEveryCrashPoint(
+      root,
+      [&] {
+        fs::remove_all(root);
+        fs::create_directories(root);
+        ASSERT_TRUE(search::SaveOutcomeFile(old_outcome, path).ok());
+      },
+      [&] { return search::SaveOutcomeFile(new_outcome, path); },
+      [&](bool crashed) {
+        auto got = durable::ReadFile(path);
+        ASSERT_TRUE(got.ok());
+        EXPECT_TRUE(*got == new_bytes.str() ||
+                    (crashed && *got == old_bytes.str()));
+      });
+}
+
+// A target that is not a regular file is written through, not replaced:
+// moving a temp file over a FIFO, a device or a symlink would swap it for
+// a plain file.
+TEST(AtomicWriteTest, FifoTargetStaysAFifoAndItsReaderGetsTheBytes) {
+  ScopedTempDir dir("fifo_target");
+  const std::string path = dir.File("out.fifo");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  // With the read end open first the writer's open does not block, and the
+  // bytes fit in the pipe's buffer.
+  const int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  ASSERT_GE(reader, 0);
+  const std::string bytes = Blob(3000, 9);
+  EXPECT_TRUE(durable::AtomicWriteFile(path, bytes).ok());
+  std::string got;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(reader, buf, sizeof(buf))) > 0;) {
+    got.append(buf, static_cast<size_t>(n));
+  }
+  ::close(reader);
+  EXPECT_EQ(got, bytes);
+  EXPECT_EQ(fs::symlink_status(path).type(), fs::file_type::fifo);
+}
+
+TEST(AtomicWriteTest, SymlinkTargetStaysALinkToTheNewBytes) {
+  ScopedTempDir dir("symlink_target");
+  const std::string file = dir.File("model.bin"), link = dir.File("link");
+  ASSERT_TRUE(durable::AtomicWriteFile(file, "old").ok());
+  fs::create_symlink("model.bin", link);
+  EXPECT_TRUE(durable::AtomicWriteFile(link, "new bytes").ok());
+  EXPECT_TRUE(fs::is_symlink(link));
+  auto got = durable::ReadFile(file);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, "new bytes");
 }
 
 // Two writers of one path interleave mid-file; each must replace the file
@@ -713,24 +745,6 @@ TEST_F(GoldenFileTest, OldChunkIndexIsRebuiltThenRepublished) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(CounterValue("artifact.index_rebuilds"), rebuilds + 1);
   EXPECT_EQ(*(*reopened)->FetchBlob("golden"), Blob(10000, 3));
-}
-
-TEST_F(GoldenFileTest, TuneCacheStillAnswers) {
-  namespace simd = tensor::simd;
-  if (!simd::KernelsCompiled() || !simd::HardwareOk()) {
-    GTEST_SKIP() << "no AVX2+FMA at runtime";
-  }
-  ::setenv("AUTOMC_TUNE_CACHE", File("tune.amtn").c_str(), 1);
-  simd::ResetTunerForTest();
-  const int64_t probes = CounterValue("simd.tune_probes");
-  const simd::TileParams p =
-      simd::ChooseTile(simd::GemmOp::kNormal, 64, 64, 64);
-  EXPECT_EQ(CounterValue("simd.tune_probes"), probes);
-  EXPECT_EQ(p.mr, 4);
-  EXPECT_EQ(p.nv, 3);
-  EXPECT_EQ(p.kc, 0);
-  ::unsetenv("AUTOMC_TUNE_CACHE");
-  simd::ResetTunerForTest();
 }
 
 }  // namespace

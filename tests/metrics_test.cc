@@ -222,8 +222,8 @@ TEST_F(MetricsTest, ReferenceTakenBeforeResetStaysValid) {
 }
 
 // The hot paths record through macro sites too, so switching metrics off
-// must keep GEMM dispatch, the tile tuner and copy-on-write accounting from
-// creating a single name. No earlier test in this binary touches tensors,
+// must keep GEMM dispatch and copy-on-write accounting from creating a
+// single name. No earlier test in this binary touches tensors,
 // so any simd.* or tensor.* name would come from this test.
 TEST_F(MetricsTest, DisabledHotPathsCreateNoNames) {
   metrics::SetEnabled(false);

@@ -396,7 +396,9 @@ double StatusPollUs(Client* client, int polls) {
 // sweep off (0) and on (an hour: it walks the connections, reaps none).
 // Short poll windows alternate without and with the parked connections;
 // the median of the paired ratios is the slowdown, so neither a busy moment
-// nor a drift in the machine's load over the run biases it.
+// nor a drift in the machine's load over the run biases it. The timing is
+// too noisy to tell a sweep after every wakeup from one a second, so the
+// sweep count is checked too: at most one walk per elapsed second.
 class IdleConnectionsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IdleConnectionsTest, ThousandIdleConnectionsSlowStatusPollsUnder2x) {
@@ -417,6 +419,10 @@ TEST_P(IdleConnectionsTest, ThousandIdleConnectionsSlowStatusPollsUnder2x) {
   opts.socket_path = dir.File("s.sock");
   opts.jobs.workdir = dir.File("wd");
   opts.idle_timeout_s = GetParam();
+  const metrics::Counter& sweeps =
+      metrics::MetricsRegistry::Global().GetCounter("server.idle_sweeps");
+  const int64_t sweeps_before = sweeps.value();
+  const auto start = std::chrono::steady_clock::now();
   auto srv = server::Server::Start(opts);
   ASSERT_TRUE(srv.ok()) << srv.status().ToString();
   auto client = Client::Connect(opts.socket_path);
@@ -441,6 +447,10 @@ TEST_P(IdleConnectionsTest, ThousandIdleConnectionsSlowStatusPollsUnder2x) {
     ASSERT_TRUE(WaitForOpenFds(base_fds))
         << "the server did not close every idle connection";
   }
+  const auto whole_seconds = std::chrono::duration_cast<std::chrono::seconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LE(sweeps.value() - sweeps_before, whole_seconds.count() + 2)
+      << "the idle sweep walked the connections more than once a second";
   std::sort(slowdowns.begin(), slowdowns.end());
   const double median = slowdowns[kRounds / 2];
   RecordProperty("idle_conn_slowdown", std::to_string(median));

@@ -1,34 +1,25 @@
-// Bitwise-identity and tuner-cache coverage for the SIMD GEMM substrate
-// (tensor/simd.h, tensor/tune.h). The microkernel contract promises that
-// the AVX2 path, the scalar fallback, every tile/pack parameter choice, and
-// every AUTOMC_SIMD setting produce bit-identical results — so every
-// comparison here is EXPECT_EQ on float bits, never EXPECT_NEAR.
+// Bitwise-identity coverage for the SIMD GEMM substrate (tensor/simd.h).
+// The microkernel contract promises that the AVX2 path, the scalar
+// fallback, every register-tile remainder, and every AUTOMC_SIMD setting
+// produce bit-identical results — so every comparison here is EXPECT_EQ
+// on float bits, never EXPECT_NEAR.
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "nn/trainer.h"
-#include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
-#include "tensor/tune.h"
-#include "test_util.h"
 
 namespace automc {
 namespace tensor {
 namespace {
 
 using simd::GemmOp;
-using simd::PackedB;
-using simd::TileParams;
 
 bool Avx2Available() {
   return simd::KernelsCompiled() && simd::HardwareOk();
@@ -41,22 +32,16 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed) {
   return v;
 }
 
-// Reference result via the scalar kernel (full rows, full columns).
-std::vector<float> ScalarResult(GemmOp op, const std::vector<float>& a,
-                                const std::vector<float>& b, int64_t m,
-                                int64_t k, int64_t n, uint64_t cseed) {
-  std::vector<float> c = RandomVec(m * n, cseed);  // accumulate into noise
-  simd::GemmRowsScalar(op, a.data(), b.data(), c.data(), m, k, n, 0, m);
-  return c;
-}
+using GemmFn = void (*)(GemmOp, const float*, const float*, float*, int64_t,
+                        int64_t, int64_t);
 
-std::vector<float> Avx2Result(GemmOp op, const TileParams& p,
+// C = noise + A'B' through one kernel.
+std::vector<float> GemmResult(GemmFn gemm, GemmOp op,
                               const std::vector<float>& a,
                               const std::vector<float>& b, int64_t m,
                               int64_t k, int64_t n, uint64_t cseed) {
-  std::vector<float> c = RandomVec(m * n, cseed);
-  PackedB pb = simd::PackB(op, b.data(), k, n, p.nv);
-  simd::GemmRowsAvx2(op, p, a.data(), pb, b.data(), c.data(), m, k, n, 0, m);
+  std::vector<float> c = RandomVec(m * n, cseed);  // accumulate into noise
+  gemm(op, a.data(), b.data(), c.data(), m, k, n);
   return c;
 }
 
@@ -73,61 +58,49 @@ void ExpectBitwiseEqual(const std::vector<float>& x,
   }
 }
 
-// Randomized shapes — including n % 8 tails, m % mr tails, k == 1, and
-// single-panel widths — must be bitwise identical between the scalar chain
-// and the packed AVX2 kernels for every op and a spread of tilings.
+// Shapes — including n % 8 tails, k == 1, and single-panel widths — must
+// be bitwise identical between the scalar chain and the packed AVX2 path
+// for every op. The AVX2 register tile is 4 rows by 3 8-float vectors, so
+// a shape runs the 4-row kernel when m >= 4 and the (m % 4)-row one for
+// the last band, against 24-column groups and an 8- or 16-column remainder
+// group; the shapes below reach all 12 row x vector kernels.
 TEST(SimdKernelTest, Avx2MatchesScalarBitwiseAcrossShapes) {
   if (!Avx2Available()) GTEST_SKIP() << "no AVX2+FMA at runtime";
   const struct {
     int64_t m, k, n;
   } kShapes[] = {{1, 1, 1},    {3, 5, 7},    {4, 27, 64},  {5, 9, 8},
                  {6, 16, 23},  {8, 72, 16},  {11, 13, 40}, {16, 144, 4},
-                 {17, 31, 57}, {32, 288, 1}, {33, 29, 65}, {64, 64, 64}};
-  const TileParams kTiles[] = {
-      {1, 1, 0}, {4, 2, 0}, {4, 3, 7}, {5, 2, 16}, {6, 1, 3}, {6, 2, 0}};
+                 {17, 31, 57}, {32, 288, 1}, {33, 29, 65}, {64, 64, 64},
+                 {5, 1, 32},   {5, 7, 40},   {6, 12, 32},  {6, 3, 40},
+                 {7, 20, 32},  {7, 9, 40},   {8, 5, 32},   {8, 33, 40}};
+  bool ran[5][4] = {};  // [rows][vectors] of each kernel a shape runs
+  for (const auto& s : kShapes) {
+    const int64_t panels = s.n / 8;
+    for (int64_t rows : {s.m >= 4 ? int64_t{4} : 0, s.m % 4}) {
+      for (int64_t vecs : {panels >= 3 ? int64_t{3} : 0, panels % 3}) {
+        ran[rows][vecs] = true;
+      }
+    }
+  }
+  for (int rows = 1; rows <= 4; ++rows) {
+    for (int vecs = 1; vecs <= 3; ++vecs) {
+      EXPECT_TRUE(ran[rows][vecs])
+          << "no shape runs the " << rows << "x" << vecs << " kernel";
+    }
+  }
   uint64_t seed = 1;
   for (GemmOp op : {GemmOp::kNormal, GemmOp::kTransposeA, GemmOp::kTransposeB}) {
     for (const auto& s : kShapes) {
       std::vector<float> a =
           RandomVec(s.m * s.k, seed++);  // layout superset: k*m == m*k
       std::vector<float> b = RandomVec(s.k * s.n, seed++);
-      std::vector<float> ref =
-          ScalarResult(op, a, b, s.m, s.k, s.n, /*cseed=*/99);
-      for (const auto& p : kTiles) {
-        std::vector<float> got =
-            Avx2Result(op, p, a, b, s.m, s.k, s.n, /*cseed=*/99);
-        ExpectBitwiseEqual(ref, got,
-                           "op=" + std::to_string(static_cast<int>(op)) +
-                               " m=" + std::to_string(s.m) +
-                               " k=" + std::to_string(s.k) +
-                               " n=" + std::to_string(s.n) +
-                               " mr=" + std::to_string(p.mr) +
-                               " nv=" + std::to_string(p.nv) +
-                               " kc=" + std::to_string(p.kc));
-      }
+      ExpectBitwiseEqual(
+          GemmResult(simd::GemmScalar, op, a, b, s.m, s.k, s.n, /*cseed=*/99),
+          GemmResult(simd::GemmAvx2, op, a, b, s.m, s.k, s.n, /*cseed=*/99),
+          "op=" + std::to_string(static_cast<int>(op)) +
+              " m=" + std::to_string(s.m) + " k=" + std::to_string(s.k) +
+              " n=" + std::to_string(s.n));
     }
-  }
-}
-
-// The dispatched entry points (what layers actually call) must not depend
-// on which tile the tuner picked: force different tilings through the
-// override hook and compare full GEMM outputs bitwise.
-TEST(SimdKernelTest, DispatchedGemmInvariantUnderTileOverride) {
-  if (!Avx2Available()) GTEST_SKIP() << "no AVX2+FMA at runtime";
-  Rng rng(17);
-  Tensor a = Tensor::Randn({37, 29}, &rng);
-  Tensor b = Tensor::Randn({29, 43}, &rng);
-  auto run = [&](const TileParams& p) {
-    simd::SetTileOverrideForTest(p);
-    Tensor c = MatMul(a, b);
-    simd::ClearTileOverrideForTest();
-    return std::vector<float>(c.data(), c.data() + c.numel());
-  };
-  std::vector<float> base = run({4, 2, 0});
-  for (const TileParams& p :
-       {TileParams{1, 1, 0}, TileParams{4, 3, 8}, TileParams{6, 2, 13}}) {
-    std::vector<float> other = run(p);
-    ExpectBitwiseEqual(base, other, "tile override sweep");
   }
 }
 
@@ -138,86 +111,6 @@ TEST(SimdKernelTest, TensorBuffersAre64ByteAligned) {
     Tensor t({n});
     EXPECT_EQ(reinterpret_cast<uintptr_t>(t.data()) % 64, 0u) << n;
   }
-}
-
-int64_t CounterValue(const std::string& name) {
-  return metrics::MetricsRegistry::Global().GetCounter(name).value();
-}
-
-class TuneCacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!Avx2Available()) GTEST_SKIP() << "no AVX2+FMA at runtime";
-    dir_ = std::make_unique<automc::testing::ScopedTempDir>("tune");
-    cache_path_ = (dir_->path() / "tune.bin").string();
-    ::setenv("AUTOMC_TUNE_CACHE", cache_path_.c_str(), 1);
-    simd::ResetTunerForTest();
-  }
-  void TearDown() override {
-    ::unsetenv("AUTOMC_TUNE_CACHE");
-    simd::ResetTunerForTest();
-  }
-
-  std::unique_ptr<automc::testing::ScopedTempDir> dir_;
-  std::string cache_path_;
-};
-
-TEST_F(TuneCacheTest, RoundTripSkipsProbesAndPreservesChoice) {
-  int64_t probes0 = CounterValue("simd.tune_probes");
-  TileParams first = simd::ChooseTile(GemmOp::kNormal, 40, 30, 50);
-  int64_t probes1 = CounterValue("simd.tune_probes");
-  EXPECT_GT(probes1, probes0);  // first touch benchmarks the grid
-  ASSERT_TRUE(std::filesystem::exists(cache_path_));
-
-  // Same shape class again in the same process: in-memory hit, no probes.
-  int64_t hits0 = CounterValue("simd.tune_hits");
-  TileParams again = simd::ChooseTile(GemmOp::kNormal, 41, 31, 51);
-  EXPECT_EQ(CounterValue("simd.tune_probes"), probes1);
-  EXPECT_GT(CounterValue("simd.tune_hits"), hits0);
-  EXPECT_EQ(again.mr, first.mr);
-  EXPECT_EQ(again.nv, first.nv);
-  EXPECT_EQ(again.kc, first.kc);
-
-  // Fresh tuner (a new process, in effect): the on-disk table answers and
-  // the exact same tile comes back without re-probing.
-  simd::ResetTunerForTest();
-  TileParams loaded = simd::ChooseTile(GemmOp::kNormal, 40, 30, 50);
-  EXPECT_EQ(CounterValue("simd.tune_probes"), probes1);
-  EXPECT_EQ(loaded.mr, first.mr);
-  EXPECT_EQ(loaded.nv, first.nv);
-  EXPECT_EQ(loaded.kc, first.kc);
-}
-
-TEST_F(TuneCacheTest, CorruptAndTruncatedFilesAreIgnoredAndRewritten) {
-  simd::ChooseTile(GemmOp::kTransposeB, 24, 36, 48);
-  ASSERT_TRUE(std::filesystem::exists(cache_path_));
-
-  // Flip a payload byte: CRC fails, loader ignores the file, tuner
-  // re-probes and the next save writes a valid file again.
-  {
-    std::fstream f(cache_path_, std::ios::in | std::ios::out |
-                                    std::ios::binary);
-    f.seekp(9);
-    char junk = 0x5a;
-    f.write(&junk, 1);
-  }
-  simd::ResetTunerForTest();
-  int64_t probes0 = CounterValue("simd.tune_probes");
-  simd::ChooseTile(GemmOp::kTransposeB, 24, 36, 48);
-  EXPECT_GT(CounterValue("simd.tune_probes"), probes0);
-
-  // Truncate below the header: also ignored, no crash.
-  std::filesystem::resize_file(cache_path_, 6);
-  simd::ResetTunerForTest();
-  probes0 = CounterValue("simd.tune_probes");
-  simd::ChooseTile(GemmOp::kTransposeB, 24, 36, 48);
-  EXPECT_GT(CounterValue("simd.tune_probes"), probes0);
-
-  // The rewrite after recovery must round-trip.
-  simd::ResetTunerForTest();
-  probes0 = CounterValue("simd.tune_probes");
-  simd::ChooseTile(GemmOp::kTransposeB, 24, 36, 48);
-  EXPECT_EQ(CounterValue("simd.tune_probes"), probes0);
 }
 
 // Full training run (conv + linear forward/backward, every GEMM op) under
