@@ -281,6 +281,14 @@ AUTOMC_SERVE_BIN=build/examples/automc_serve \
 [[ "${rc}" -eq 3 ]]
 echo "load smoke: fault-injected run tripped the SLO gate (exit ${rc})"
 
+echo "== perfbench self-tests =="
+# The benchmark's own tests, against this tree: they build its harness (as
+# perfbench/run.py does) into build-perfbench/, check its metric names and
+# gate rules, and require the traced recomposition of one search to stay
+# byte-identical to core::RunSearch.
+CARGO_TARGET_DIR=build-perfbench \
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "== COW sanitizer stage =="
 # The copy-on-write tensor contract is concurrency-sensitive: distinct
 # aliases of one buffer are read while another alias materializes. Prove
@@ -299,9 +307,10 @@ echo "== COW sanitizer stage =="
 # then shake out addressability bugs in the buffer-sharing paths, the
 # folded conv blocks, the raw-pointer TransR pair step, the metric
 # references kept across Reset(), the model decoder, the experience store,
-# the durable-file parsers and the seeded decoder fuzz (which, under ASan,
-# also fails any allocation over 64 MiB) with an ASan+UBSan pass. Both run
-# at AUTOMC_THREADS=1 and 4 like the main suite.
+# the durable-file parsers, the seeded decoder fuzz (which, under ASan,
+# also fails any allocation over 64 MiB) and the AVX2 microkernels' packing
+# and tails (simd_kernel_test, whose timing case skips there) with an
+# ASan+UBSan pass. Both run at AUTOMC_THREADS=1 and 4 like the main suite.
 cmake -B build-tsan -S . -DAUTOMC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j --target cow_tensor_test batch_eval_test \
@@ -316,13 +325,13 @@ done
 
 cmake -B build-asan -S . -DAUTOMC_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-asan -j --target tensor_test cow_tensor_test nn_model_test \
-  kg_test experience_index_test artifact_test durable_test metrics_test \
-  serialize_test store_test decoder_fuzz_test
+cmake --build build-asan -j --target tensor_test simd_kernel_test \
+  cow_tensor_test nn_model_test kg_test experience_index_test artifact_test \
+  durable_test metrics_test serialize_test store_test decoder_fuzz_test
 for threads in 1 4; do
   echo "-- asan ctest, AUTOMC_THREADS=${threads} --"
   AUTOMC_THREADS="${threads}" ctest --test-dir build-asan \
-    -R 'tensor_test|cow_tensor_test|nn_model_test|kg_test|experience_index_test|artifact_test|durable_test|metrics_test|serialize_test|store_test|decoder_fuzz_test' \
+    -R 'tensor_test|simd_kernel_test|cow_tensor_test|nn_model_test|kg_test|experience_index_test|artifact_test|durable_test|metrics_test|serialize_test|store_test|decoder_fuzz_test' \
     --output-on-failure
 done
 

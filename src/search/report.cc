@@ -1,6 +1,5 @@
 #include "search/report.h"
 
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -146,8 +145,8 @@ Status SaveOutcomeFile(const SearchOutcome& outcome, const std::string& path) {
 }
 
 Result<SearchOutcome> LoadOutcomeFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
+  AUTOMC_ASSIGN_OR_RETURN(std::string bytes, durable::ReadFile(path));
+  std::istringstream in(std::move(bytes));
   return LoadOutcome(&in);
 }
 

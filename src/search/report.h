@@ -33,6 +33,8 @@ Status WriteParetoCsvFile(const SearchOutcome& outcome,
 Status SaveOutcome(const SearchOutcome& outcome, std::ostream* out);
 Result<SearchOutcome> LoadOutcome(std::istream* in);
 Status SaveOutcomeFile(const SearchOutcome& outcome, const std::string& path);
+// kNotFound for a missing file, kInternal when it cannot be read and
+// kInvalidArgument when its text is malformed.
 Result<SearchOutcome> LoadOutcomeFile(const std::string& path);
 
 // Bit-exact binary form (little-endian, raw IEEE doubles) used by the

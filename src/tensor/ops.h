@@ -11,11 +11,11 @@ namespace tensor {
 // Dense kernels shared by the layer implementations. All output tensors are
 // allocated by the caller-facing functions; shapes are checked.
 //
-// Every GEMM routes through the raw kernels below, which are cache-blocked
-// and run on the shared thread pool (common/thread_pool.h). Parallelism is
-// over disjoint output rows and the per-element accumulation order never
-// depends on the thread count, so results are bit-identical for any
-// AUTOMC_THREADS value.
+// Every GEMM routes through the raw kernels below, which run on the calling
+// thread: the AVX2 register tile when that path is active and n >= 8, else
+// the scalar fma chains (tensor/simd.h). No kernel enters the thread pool,
+// and each output element's accumulation order is fixed, so results are
+// bit-identical for any AUTOMC_THREADS or AUTOMC_SIMD value.
 
 // c = a * b for 2-D tensors; a is [m,k], b is [k,n], result [m,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);

@@ -139,6 +139,14 @@ TEST(ReportTest, FileHelpersReportMissingAndUnwritablePaths) {
             StatusCode::kNotFound);
 }
 
+// A path that opens but cannot be read is an I/O failure, not a malformed
+// outcome.
+TEST(ReportTest, LoadOutcomeFileReportsAnUnreadablePathAsAnIoError) {
+  const Result<SearchOutcome> loaded = LoadOutcomeFile(::testing::TempDir());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal)
+      << loaded.status().ToString();
+}
+
 }  // namespace
 }  // namespace search
 }  // namespace automc
