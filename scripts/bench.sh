@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${AUTOMC_BENCH_BUILD_DIR:-build}"
 
 cmake -B "${BUILD_DIR}" -S . >/dev/null
-cmake --build "${BUILD_DIR}" -j --target load_replay automc_serve >/dev/null
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target load_replay automc_serve >/dev/null
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "${tmpdir}"' EXIT

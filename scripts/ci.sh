@@ -17,7 +17,7 @@ run_suite() {
   local build_dir="$1"
   shift
   cmake -B "${build_dir}" -S . "$@"
-  cmake --build "${build_dir}" -j
+  cmake --build "${build_dir}" -j "$(nproc)"
   # The whole suite runs four ways: {SIMD kernels on, forced scalar} x
   # {serial, 4-lane pool}. Results must be identical across all of them
   # (the determinism contract in DESIGN.md plus the microkernel contract in
@@ -50,7 +50,7 @@ echo "== compile-out build =="
 cmake -B build-nometrics -S . -DAUTOMC_DISABLE_METRICS=ON \
   -DCMAKE_CXX_FLAGS="-Werror=unused-variable -Werror=unused-but-set-variable" \
   >/dev/null
-cmake --build build-nometrics -j
+cmake --build build-nometrics -j "$(nproc)"
 
 echo "== crash-resume smoke =="
 # Kill a checkpointing search with SIGKILL mid-run, resume it, and require
@@ -302,10 +302,12 @@ echo "== COW sanitizer stage =="
 # registry (pool threads record through macro sites while Reset() zeroes),
 # and whole AutoMC runs (core_test, determinism_test), where pretraining
 # and embedding learning run as two training loops on the pool at once,
+# each with its own thread-local conv and GEMM scratch,
 # and the pool itself (thread_pool_test: its ticket queue, nesting and
 # exception paths),
 # then shake out addressability bugs in the buffer-sharing paths, the
-# folded conv blocks, the raw-pointer TransR pair step, the metric
+# direct conv kernels' padded lane buffers and partly filled last lane
+# block, the raw-pointer TransR pair step, the metric
 # references kept across Reset(), the model decoder, the experience store,
 # the durable-file parsers, the seeded decoder fuzz (which, under ASan,
 # also fails any allocation over 64 MiB) and the AVX2 microkernels' packing
@@ -313,7 +315,7 @@ echo "== COW sanitizer stage =="
 # ASan+UBSan pass. Both run at AUTOMC_THREADS=1 and 4 like the main suite.
 cmake -B build-tsan -S . -DAUTOMC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-tsan -j --target cow_tensor_test batch_eval_test \
+cmake --build build-tsan -j "$(nproc)" --target cow_tensor_test batch_eval_test \
   experience_index_test artifact_test durable_test metrics_test core_test \
   determinism_test thread_pool_test
 for threads in 1 4; do
@@ -325,7 +327,7 @@ done
 
 cmake -B build-asan -S . -DAUTOMC_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build-asan -j --target tensor_test simd_kernel_test \
+cmake --build build-asan -j "$(nproc)" --target tensor_test simd_kernel_test \
   cow_tensor_test nn_model_test kg_test experience_index_test artifact_test \
   durable_test metrics_test serialize_test store_test decoder_fuzz_test
 for threads in 1 4; do

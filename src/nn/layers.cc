@@ -10,21 +10,6 @@ namespace nn {
 using tensor::ConvGeometry;
 using tensor::Tensor;
 
-namespace {
-
-// Conv2d folds samples side by side into one [C*k*k, group*OH*OW] GEMM
-// operand until it is at least this many columns wide, so small late-stage
-// maps stop issuing GEMMs too narrow for the vector path.
-constexpr int64_t kFoldCols = 64;
-
-// Samples per folded conv GEMM: a pure function of the batch size and the
-// output-map size.
-int64_t FoldGroup(int64_t batch, int64_t map_size) {
-  return std::clamp<int64_t>((kFoldCols + map_size - 1) / map_size, 1, batch);
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Conv2d
 
@@ -55,53 +40,15 @@ Tensor Conv2d::Forward(const Tensor& x, bool training) {
   int64_t oh = g.OutH(), ow = g.OutW();
   AUTOMC_CHECK(oh > 0 && ow > 0) << "conv output collapsed: " << x.ShapeString();
 
-  int64_t ckk = in_c_ * kernel_ * kernel_;
-  int64_t p = oh * ow;
-  int64_t group = FoldGroup(n, p);
-  int64_t groups = (n + group - 1) / group;
-  Tensor wmat = weight_.value.Reshaped({out_c_, ckk});
-  Tensor y({n, out_c_, oh, ow});
-
-  // Backward re-unfolds the input for dW, so training keeps only an O(1)
-  // alias of x instead of column blocks k*k times its size.
+  // Backward copies the input again for dW, so training keeps only an O(1)
+  // alias of x.
   cached_ = training;
   if (training) x_cache_ = x;
-  // One im2col block + GEMM per group of samples, each group writing a
-  // disjoint slice of y. Every output element is the GEMM's ascending-k
-  // chain from its bias wherever its column sits, so folding changes no
-  // bit.
-  const float* xd = x.data();
-  const float* wd = wmat.data();
-  const float* bd = has_bias_ ? bias_.value.data() : nullptr;
-  float* yd = y.MutableData();
-  int64_t out_c = out_c_;
-  // Scratch for one full group, reused by every group.
-  Tensor cols({ckk, group * p});
-  Tensor folded({group > 1 ? out_c * group * p : 0});
-  float* cd = cols.MutableData();
-  for (int64_t gi = 0; gi < groups; ++gi) {
-    int64_t s0 = gi * group, ns = std::min(group, n - s0), cw = ns * p;
-    for (int64_t s = 0; s < ns; ++s) {
-      tensor::Im2Col(xd + (s0 + s) * in_c_ * h * w, g, cd + s * p, cw);
-    }
-    // A lone sample's [out_c, p] result is its slice of y; a folded
-    // group's [out_c, ns*p] result is scattered per sample.
-    float* dst = ns == 1 ? yd + s0 * out_c * p : folded.MutableData();
-    for (int64_t f = 0; f < out_c; ++f) {
-      std::fill(dst + f * cw, dst + (f + 1) * cw,
-                bd != nullptr ? bd[f] : 0.0f);
-    }
-    tensor::GemmAccumRaw(wd, cd, dst, out_c, ckk, cw);
-    if (ns > 1) {
-      for (int64_t s = 0; s < ns; ++s) {
-        for (int64_t f = 0; f < out_c; ++f) {
-          const float* src = dst + f * cw + s * p;
-          std::copy(src, src + p, yd + ((s0 + s) * out_c + f) * p);
-        }
-      }
-    }
-  }
-  flops_last_ = n * out_c_ * ckk * p;
+  Tensor y({n, out_c_, oh, ow});
+  tensor::Conv2dForward(x.data(), weight_.value.data(),
+                        has_bias_ ? bias_.value.data() : nullptr,
+                        y.MutableData(), n, out_c_, g);
+  flops_last_ = n * out_c_ * in_c_ * kernel_ * kernel_ * oh * ow;
   return y;
 }
 
@@ -110,69 +57,28 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   int64_t n = x_cache_.size(0), h = x_cache_.size(2), w = x_cache_.size(3);
   ConvGeometry g{in_c_, h, w, kernel_, stride_, pad_};
   int64_t oh = g.OutH(), ow = g.OutW();
+  AUTOMC_CHECK_EQ(grad_out.dim(), 4);
   AUTOMC_CHECK_EQ(grad_out.size(0), n);
   AUTOMC_CHECK_EQ(grad_out.size(1), out_c_);
+  AUTOMC_CHECK_EQ(grad_out.size(2), oh);
+  AUTOMC_CHECK_EQ(grad_out.size(3), ow);
 
-  int64_t ckk = in_c_ * kernel_ * kernel_;
-  int64_t p = oh * ow;
-  int64_t group = FoldGroup(n, p);
-  int64_t groups = (n + group - 1) / group;
-  Tensor wmat = weight_.value.Reshaped({out_c_, ckk});
   Tensor dx(x_cache_.shape());
+  tensor::Conv2dBackward(x_cache_.data(), grad_out.data(),
+                         weight_.value.data(), dx.MutableData(),
+                         weight_.grad.MutableData(), n, out_c_, g);
 
-  // dX folds like the forward pass: per group one GEMM dcols = W^T dY, each
-  // element a chain over the filters from zero, then one col2im per sample
-  // into its disjoint dx slice.
-  const float* xd = x_cache_.data();
-  const float* gd = grad_out.data();
-  const float* wd = wmat.data();
-  float* dxd = dx.MutableData();
-  int64_t out_c = out_c_;
-  Tensor folded({group > 1 ? out_c * group * p : 0});
-  Tensor dcols({ckk, group * p});
-  float* dc = dcols.MutableData();
-  for (int64_t gi = 0; gi < groups; ++gi) {
-    int64_t s0 = gi * group, ns = std::min(group, n - s0), cw = ns * p;
-    // dY of the group in the folded [out_c, ns*p] layout.
-    const float* dyg = gd + s0 * out_c * p;
-    if (ns > 1) {
-      float* dst = folded.MutableData();
-      for (int64_t s = 0; s < ns; ++s) {
-        for (int64_t f = 0; f < out_c; ++f) {
-          const float* src = gd + ((s0 + s) * out_c + f) * p;
-          std::copy(src, src + p, dst + f * cw + s * p);
-        }
-      }
-      dyg = dst;
-    }
-    std::fill(dc, dc + ckk * cw, 0.0f);
-    tensor::GemmTransposeARaw(wd, dyg, dc, ckk, out_c, cw);
-    for (int64_t s = 0; s < ns; ++s) {
-      tensor::Col2Im(dc + s * p, cw, g, dxd + (s0 + s) * in_c_ * h * w);
-    }
-  }
-
-  // dW and db sum over a sample's positions; one GEMM over a folded group
-  // would merge those sums across samples. Each sample's partial is built
-  // from zero in one scratch and added in ascending sample order, so the
-  // grouping never changes their bits.
-  Tensor cols({ckk, p});
-  Tensor dwp({out_c, ckk});
-  Tensor dbp({has_bias_ ? out_c : 0});
-  Tensor dwmat({out_c, ckk});
-  float* cd = cols.MutableData();
-  float* dwd = dwp.MutableData();
-  float* dbd = dbp.MutableData();
-  for (int64_t i = 0; i < n; ++i) {
-    tensor::Im2Col(xd + i * in_c_ * h * w, g, cd, p);
-    const float* dyi = gd + i * out_c * p;  // [out_c, p] slice
-    // dW_i = dY_i * cols_i^T
-    std::fill(dwd, dwd + out_c * ckk, 0.0f);
-    tensor::GemmTransposeBRaw(dyi, cd, dwd, out_c, p, ckk);
-    dwmat.AddInPlace(dwp);
-    if (has_bias_) {
-      std::fill(dbd, dbd + out_c, 0.0f);
-      for (int64_t f = 0; f < out_c; ++f) {
+  // db: each sample's positions summed in double, the samples added in
+  // ascending order.
+  if (has_bias_) {
+    int64_t p = oh * ow;
+    const float* gd = grad_out.data();
+    Tensor dbp({out_c_});
+    float* dbd = dbp.MutableData();
+    for (int64_t i = 0; i < n; ++i) {
+      const float* dyi = gd + i * out_c_ * p;
+      std::fill(dbd, dbd + out_c_, 0.0f);
+      for (int64_t f = 0; f < out_c_; ++f) {
         double sum = 0.0;
         for (int64_t q = 0; q < p; ++q) sum += dyi[f * p + q];
         dbd[f] += static_cast<float>(sum);
@@ -180,7 +86,6 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
       bias_.grad.AddInPlace(dbp);
     }
   }
-  weight_.grad.AddInPlace(dwmat.Reshaped(weight_.value.shape()));
   cached_ = false;
   x_cache_ = Tensor();
   return dx;

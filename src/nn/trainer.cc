@@ -71,11 +71,9 @@ Status Trainer::Fit(Model* model, const data::Dataset& train, LossFn loss_fn,
         }
 
         model->ZeroGrad();
-        // Intra-batch data parallelism lives inside the layer kernels
-        // (per-group conv im2col+GEMM, per-channel batch norm, per-row
-        // GEMM), not here: splitting the batch across model replicas would
-        // change batch-norm statistics and gradient reduction order. The
-        // kernels chunk work independently of AUTOMC_THREADS and reduce
+        // The batch is not split across threads: model replicas would
+        // change batch-norm statistics and the gradient reduction order.
+        // The layer kernels run serially on this task's lane and reduce
         // shared gradients in a fixed order, so the loss curve is
         // bit-identical for any thread count.
         Tensor logits = model->Forward(images, /*training=*/true);

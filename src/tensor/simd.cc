@@ -1,8 +1,10 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <vector>
 
 namespace automc {
 namespace tensor {
@@ -12,6 +14,12 @@ namespace simd {
 // toolchain supports it; see GemmScalar below.
 void GemmScalarFmaTu(GemmOp op, const float* a, const float* b, float* c,
                      int64_t m, int64_t k, int64_t n);
+void ConvForwardScalarFmaTu(const float* x, const float* w, const float* bias,
+                            float* y, int64_t n, int64_t f,
+                            const ConvGeometry& g);
+void ConvBackwardScalarFmaTu(const float* x, const float* dy, const float* w,
+                             float* dx, float* dw, int64_t n, int64_t f,
+                             const ConvGeometry& g);
 
 namespace {
 
@@ -74,6 +82,29 @@ void GemmScalar(GemmOp op, const float* a, const float* b, float* c,
   }
 #endif
   ScalarRowsImpl(op, a, b, c, m, k, n, 0, n);
+}
+
+void ConvForwardScalar(const float* x, const float* w, const float* bias,
+                       float* y, int64_t n, int64_t f, const ConvGeometry& g) {
+#if defined(AUTOMC_HAVE_AVX2_KERNELS)
+  if (HardwareOk()) {
+    ConvForwardScalarFmaTu(x, w, bias, y, n, f, g);
+    return;
+  }
+#endif
+  ScalarConvForwardImpl(x, w, bias, y, n, f, g);
+}
+
+void ConvBackwardScalar(const float* x, const float* dy, const float* w,
+                        float* dx, float* dw, int64_t n, int64_t f,
+                        const ConvGeometry& g) {
+#if defined(AUTOMC_HAVE_AVX2_KERNELS)
+  if (HardwareOk()) {
+    ConvBackwardScalarFmaTu(x, dy, w, dx, dw, n, f, g);
+    return;
+  }
+#endif
+  ScalarConvBackwardImpl(x, dy, w, dx, dw, n, f, g);
 }
 
 }  // namespace simd

@@ -3,17 +3,19 @@
 
 #include <cstdint>
 
+#include "tensor/ops.h"
+
 namespace automc {
 namespace tensor {
 namespace simd {
 
-// Vectorized GEMM substrate behind tensor/ops.cc.
+// Vectorized GEMM and direct-convolution substrate behind tensor/ops.cc.
 //
 // Microkernel contract (the determinism anchor)
 // ---------------------------------------------
-// For every output element c[i][j], every kernel in this layer — the
-// hand-tiled AVX2/FMA path, the compiler-scalar fallback, and the packed
-// remainder handling — computes exactly the chain
+// For every output element c[i][j] of a GEMM, every kernel in this layer —
+// the hand-tiled AVX2/FMA path, the compiler-scalar fallback, and the
+// packed remainder handling — computes exactly the chain
 //
 //     acc = c[i][j]
 //     for kk = 0 .. k-1 (ascending):  acc = fma(a(i,kk), b(kk,j), acc)
@@ -27,7 +29,8 @@ namespace simd {
 // incomparable — that shortcut is intentionally gone). The register tile,
 // panel packing and the SIMD/scalar choice only reorder *which elements*
 // are computed when, never the per-element chain, so results are
-// bit-identical across every AUTOMC_SIMD setting.
+// bit-identical across every AUTOMC_SIMD setting. The convolution kernels
+// keep the chains listed above ConvForwardScalar in the same way.
 //
 // Dispatch
 // --------
@@ -74,6 +77,39 @@ void GemmScalar(GemmOp op, const float* a, const float* b, float* c,
 // ActiveMode() could return kAvx2 (i.e. KernelsCompiled() && HardwareOk()).
 void GemmAvx2(GemmOp op, const float* a, const float* b, float* c, int64_t m,
               int64_t k, int64_t n);
+
+// Direct convolution (tensor::Conv2dForward / Conv2dBackward): x and dx
+// [n, C, H, W], w and dw [f, C, k, k], bias [f] or null, y and dy
+// [n, f, OH, OW], all NCHW. Writing kk = (c, ki, kj) and q = (oy, ox) in
+// ascending row-major order, every path computes each element's chains
+// exactly as the unfold-and-GEMM convolution did:
+//
+//   y   acc = bias (or +0); for kk: acc = fma(w[f,kk], x(kk, q), acc)
+//       where x(kk, q) is the input under the window, +0 in the padding.
+//   dx  acc = +0; for each (ki, kj) whose window position covers the
+//       element: t = +0; for f: t = fma(w[f,c,ki,kj], dy[f,q], t);
+//       acc += t.
+//   dw  acc = +0; for each sample in ascending order: t = +0; for q:
+//       t = fma(dy[f,q], x(kk, q), t); acc += t. Then dw[f,kk] += acc.
+//
+// The AVX2 path puts 8 samples on the vector lanes: it copies x into a
+// zero-padded [C][H+2p][W+2p][n rounded up to 8] buffer and dy into
+// [f][OH*OW][n rounded up to 8], so every operand is one aligned vector
+// load and no shape needs a gather or a scalar tail; the copies live in
+// this thread's scratch. Lanes past n are never stored or summed. The
+// scalar twins use the same layouts with n unrounded, so their innermost
+// loops run over the samples.
+void ConvForwardScalar(const float* x, const float* w, const float* bias,
+                       float* y, int64_t n, int64_t f, const ConvGeometry& g);
+void ConvBackwardScalar(const float* x, const float* dy, const float* w,
+                        float* dx, float* dw, int64_t n, int64_t f,
+                        const ConvGeometry& g);
+// Only callable when ActiveMode() could return kAvx2, like GemmAvx2.
+void ConvForwardAvx2(const float* x, const float* w, const float* bias,
+                     float* y, int64_t n, int64_t f, const ConvGeometry& g);
+void ConvBackwardAvx2(const float* x, const float* dy, const float* w,
+                      float* dx, float* dw, int64_t n, int64_t f,
+                      const ConvGeometry& g);
 
 }  // namespace simd
 }  // namespace tensor

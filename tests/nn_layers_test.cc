@@ -78,6 +78,36 @@ TEST(Conv2dTest, OutputShape) {
   EXPECT_EQ(y.size(3), 4);
 }
 
+TEST(Conv2dTest, IdentityKernelCopiesInput) {
+  // 1x1 kernel, stride 1, no padding, identity channel mix: y equals x.
+  Conv2d conv(2, 2, 1, 1, 0, false, nullptr);
+  Tensor w({2, 2, 1, 1});
+  w[0] = 1.0f;
+  w[3] = 1.0f;
+  conv.weight().value = w;
+  Tensor x({3, 2, 3, 3});
+  for (int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(i);
+  Tensor y = conv.Forward(x, false);
+  ASSERT_EQ(y.shape(), x.shape());
+  for (int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y[i], x[i]);
+}
+
+TEST(Conv2dTest, PaddingReadsZeros) {
+  // A 3x3 window over a 2x2 image of ones with padding 1: a kernel that
+  // reads only its top-left offset sees padding at output (0, 0) and the
+  // image at (1, 1); the centre offset always sees the image.
+  Conv2d conv(1, 2, 3, 1, 1, false, nullptr);
+  Tensor w({2, 1, 3, 3});
+  w[0] = 1.0f;      // filter 0: offset (0, 0)
+  w[9 + 4] = 1.0f;  // filter 1: offset (1, 1)
+  conv.weight().value = w;
+  Tensor x = Tensor::Full({1, 1, 2, 2}, 1.0f);
+  Tensor y = conv.Forward(x, false);
+  EXPECT_EQ(y.at(0, 0, 0, 0), 0.0f);
+  EXPECT_EQ(y.at(0, 0, 1, 1), 1.0f);
+  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(y[4 + i], 1.0f);
+}
+
 TEST(Conv2dTest, FlopsCount) {
   Rng rng(1);
   Conv2d conv(2, 4, 3, 1, 1, false, &rng);

@@ -1,4 +1,7 @@
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -11,6 +14,7 @@
 #include "nn/trainer.h"
 #include "nn/visit.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 #include "test_util.h"
 
 namespace automc {
@@ -381,7 +385,8 @@ TEST(TrainerTest, BnGammaL1ShrinksGammas) {
 }
 
 // --------------------------------------------------------------------------
-// Conv2d: folded groups against the per-sample algorithm they replaced
+// Conv2d: the direct convolution against the per-sample unfold-and-GEMM
+// algorithm
 
 struct ConvResult {
   Tensor y, dx, dw, db;
@@ -492,9 +497,10 @@ void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
 
 class ConvFoldingTest : public ::testing::TestWithParam<int> {};
 
-// Folding samples into one GEMM must change no bit of y, dX, dW or db, for
-// batches that fill a group exactly, leave a partial last group, or hold a
-// single sample, and for output maps from 8x8 down to 1x1.
+// Conv2d must match the per-sample algorithm in every bit of y, dX, dW and
+// db, for batches that fill the vector lanes exactly, leave the last lane
+// block partly empty, or hold a single sample, and for output maps from 8x8
+// down to 1x1.
 TEST_P(ConvFoldingTest, MatchesPerSampleConvBitwise) {
   automc::testing::PoolGuard pool(GetParam());
   Rng rng(31);
@@ -534,6 +540,84 @@ TEST_P(ConvFoldingTest, MatchesPerSampleConvBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ConvFoldingTest, ::testing::Values(1, 4));
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(__OPTIMIZE__)
+constexpr bool kTimedBuild = false;
+#else
+constexpr bool kTimedBuild = true;
+#endif
+
+// Seconds taken by `reps` calls of `fn`.
+template <typename Fn>
+double Seconds(Fn fn, int reps) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < reps; ++i) fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+// The conv speed floor. Conv2d forward+backward must run ResNet-20-w4's
+// six 3x3 convs at batch 32 at least kFloor times as fast as ReferenceConv,
+// the per-sample unfold-and-GEMM algorithm it is bitwise-equal to. Both run
+// in this process, so the machine's speed cancels out of each ratio.
+// Windows interleave the shapes and alternate which side runs first, and
+// the median of the paired ratios ignores a busy moment. ASan, TSan and
+// -O0 builds would time their instrumentation, so they skip, as does the
+// scalar path (AUTOMC_SIMD=0 or no AVX2), whose floor is the reference's.
+TEST(ConvSpeedTest, DirectConvIsAtLeast5xTheReference) {
+  if (!kTimedBuild) GTEST_SKIP() << "instrumented or unoptimized build";
+  if (tensor::simd::ActiveMode() != tensor::simd::SimdMode::kAvx2) {
+    GTEST_SKIP() << "the AVX2 path is not active";
+  }
+  constexpr int kWindows = 15;  // per shape
+  constexpr int kReps = 2;      // fwd+bwd passes per window side
+  constexpr double kFloor = 5.0;
+  struct Shape {
+    int64_t in_c, out_c, size, stride;
+  };
+  const Shape kShapes[] = {{3, 4, 8, 1}, {4, 4, 8, 1},  {4, 8, 8, 2},
+                           {8, 8, 4, 1}, {8, 16, 4, 2}, {16, 16, 2, 1}};
+  Rng rng(47);
+  std::vector<std::unique_ptr<Conv2d>> convs;
+  std::vector<Tensor> xs, dys;
+  for (const Shape& s : kShapes) {
+    convs.push_back(
+        std::make_unique<Conv2d>(s.in_c, s.out_c, 3, s.stride, 1, false, &rng));
+    xs.push_back(Tensor::Randn({32, s.in_c, s.size, s.size}, &rng));
+    const int64_t out = (s.size - 1) / s.stride + 1;
+    dys.push_back(Tensor::Randn({32, s.out_c, out, out}, &rng));
+  }
+  std::vector<double> ratios;
+  for (int w = -1; w < kWindows; ++w) {  // window -1 warms both paths up
+    for (size_t i = 0; i < convs.size(); ++i) {
+      Conv2d& conv = *convs[i];
+      const auto reference = [&] { ReferenceConv(conv, xs[i], dys[i]); };
+      const auto direct = [&] {
+        conv.Forward(xs[i], true);
+        conv.Backward(dys[i]);
+      };
+      double ref_s = 0.0, direct_s = 0.0;
+      if (w % 2 == 0) {
+        ref_s = Seconds(reference, kReps);
+        direct_s = Seconds(direct, kReps);
+      } else {
+        direct_s = Seconds(direct, kReps);
+        ref_s = Seconds(reference, kReps);
+      }
+      if (w >= 0) ratios.push_back(ref_s / direct_s);
+    }
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const size_t mid = ratios.size() / 2;
+  const double median = (ratios[mid - 1] + ratios[mid]) / 2;
+  RecordProperty("conv_direct_over_reference", std::to_string(median));
+  EXPECT_GE(median, kFloor) << "Conv2d ran only " << median
+                            << "x the reference (paired ratios from "
+                            << ratios.front() << "x to " << ratios.back()
+                            << "x)";
+}
 
 // --------------------------------------------------------------------------
 // Data module

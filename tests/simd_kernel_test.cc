@@ -109,6 +109,82 @@ TEST(SimdKernelTest, Avx2MatchesScalarBitwiseAcrossShapes) {
   }
 }
 
+// The direct convolution's AVX2 path against its scalar twin, bit for bit:
+// y, dx and dw (accumulated into noise). The shapes reach every forward and
+// dX tile (1-4 filters or channels by 1-3 columns), every dW tile width
+// (C*k*k % 8 from 0 to 7), batches that leave 7 down to 0 lanes of the last
+// vector empty, non-square images, strides up to 3, and windows that
+// overhang the padded image.
+TEST(SimdKernelTest, Avx2ConvMatchesScalarBitwiseAcrossShapes) {
+  if (!Avx2Available()) GTEST_SKIP() << "no AVX2+FMA at runtime";
+  const struct {
+    int64_t n, c, h, w, f, kernel, stride, pad;
+    bool bias;
+  } kShapes[] = {
+      {1, 1, 1, 1, 1, 1, 1, 0, false},  {3, 3, 8, 8, 6, 3, 1, 1, true},
+      {7, 2, 5, 7, 5, 3, 2, 1, false},  {8, 4, 8, 8, 4, 3, 1, 1, false},
+      {9, 5, 4, 6, 7, 2, 2, 0, true},   {12, 8, 4, 4, 16, 1, 2, 0, false},
+      {16, 6, 3, 3, 3, 5, 1, 2, true},  {17, 7, 6, 5, 2, 1, 1, 0, false},
+      {32, 16, 2, 2, 16, 3, 1, 1, false}, {33, 3, 2, 2, 9, 3, 2, 0, true},
+      {5, 1, 9, 4, 8, 3, 3, 1, false},  {4, 12, 4, 4, 8, 1, 1, 0, false},
+      {2, 2, 3, 3, 4, 3, 1, 0, true},   {11, 1, 7, 7, 3, 3, 2, 1, false},
+      {6, 3, 1, 3, 2, 1, 2, 0, false},  {10, 2, 5, 5, 1, 5, 1, 2, false},
+      {1, 5, 1, 1, 3, 1, 1, 0, true},
+  };
+  bool fwd_ran[5][4] = {}, dx_ran[5][4] = {}, dw_ran[9] = {};
+  uint64_t seed = 700;
+  for (const auto& s : kShapes) {
+    const ConvGeometry g{s.c, s.h, s.w, s.kernel, s.stride, s.pad};
+    const int64_t q = g.OutH() * g.OutW(), cols = q * ((s.n + 7) / 8);
+    for (int64_t cn : {cols >= 3 ? int64_t{3} : 0, cols % 3}) {
+      for (int64_t fr : {s.f >= 4 ? int64_t{4} : 0, s.f % 4}) {
+        fwd_ran[fr][cn] = true;
+      }
+      for (int64_t cr : {s.c >= 4 ? int64_t{4} : 0, s.c % 4}) {
+        dx_ran[cr][cn] = true;
+      }
+    }
+    const int64_t ckk = s.c * s.kernel * s.kernel;
+    dw_ran[ckk >= 8 ? 8 : 0] = true;
+    dw_ran[ckk % 8] = true;
+
+    const std::string tag =
+        "n=" + std::to_string(s.n) + " c=" + std::to_string(s.c) +
+        " h=" + std::to_string(s.h) + " w=" + std::to_string(s.w) +
+        " f=" + std::to_string(s.f) + " k=" + std::to_string(s.kernel) +
+        " s=" + std::to_string(s.stride) + " p=" + std::to_string(s.pad);
+    const std::vector<float> x = RandomVec(s.n * s.c * s.h * s.w, seed++);
+    const std::vector<float> w = RandomVec(s.f * ckk, seed++);
+    const std::vector<float> bias = RandomVec(s.f, seed++);
+    const std::vector<float> dy = RandomVec(s.n * s.f * q, seed++);
+    const std::vector<float> dw0 = RandomVec(s.f * ckk, seed++);
+    const float* b = s.bias ? bias.data() : nullptr;
+    std::vector<float> y_s(static_cast<size_t>(s.n * s.f * q)), y_v = y_s;
+    simd::ConvForwardScalar(x.data(), w.data(), b, y_s.data(), s.n, s.f, g);
+    simd::ConvForwardAvx2(x.data(), w.data(), b, y_v.data(), s.n, s.f, g);
+    ExpectBitwiseEqual(y_s, y_v, "y " + tag);
+    std::vector<float> dx_s(x.size()), dx_v(x.size());
+    std::vector<float> dw_s = dw0, dw_v = dw0;
+    simd::ConvBackwardScalar(x.data(), dy.data(), w.data(), dx_s.data(),
+                             dw_s.data(), s.n, s.f, g);
+    simd::ConvBackwardAvx2(x.data(), dy.data(), w.data(), dx_v.data(),
+                           dw_v.data(), s.n, s.f, g);
+    ExpectBitwiseEqual(dx_s, dx_v, "dx " + tag);
+    ExpectBitwiseEqual(dw_s, dw_v, "dw " + tag);
+  }
+  for (int rows = 1; rows <= 4; ++rows) {
+    for (int cols = 1; cols <= 3; ++cols) {
+      EXPECT_TRUE(fwd_ran[rows][cols])
+          << "no shape runs the " << rows << "x" << cols << " forward tile";
+      EXPECT_TRUE(dx_ran[rows][cols])
+          << "no shape runs the " << rows << "x" << cols << " dX tile";
+    }
+  }
+  for (int v = 1; v <= 8; ++v) {
+    EXPECT_TRUE(dw_ran[v]) << "no shape runs the " << v << "-kk dW tile";
+  }
+}
+
 // COW buffers (and therefore every tensor's data()) must start on a cache
 // line so the packed kernels' aligned loads are safe against buffer starts.
 TEST(SimdKernelTest, TensorBuffersAre64ByteAligned) {

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
@@ -108,55 +110,44 @@ TEST(MatMulTest, TransposeVariantsAgree) {
 }
 
 // --------------------------------------------------------------------------
-// Im2Col / Col2Im
+// Conv2dForward / Conv2dBackward
 
-TEST(Im2ColTest, IdentityKernelGeometry) {
-  // 1x1 kernel, stride 1, no padding: cols equals the flattened image.
-  ConvGeometry g{2, 3, 3, 1, 1, 0};
-  Tensor x({2, 3, 3});
-  for (int64_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(i);
-  Tensor cols({2, 9});
-  Im2Col(x.data(), g, &cols);
-  for (int64_t i = 0; i < 18; ++i) EXPECT_FLOAT_EQ(cols[i], static_cast<float>(i));
+double Dot(const Tensor& a, const Tensor& b) {
+  double sum = 0.0;
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    sum += static_cast<double>(a[i]) * b[i];
+  }
+  return sum;
 }
 
-TEST(Im2ColTest, PaddingProducesZeros) {
-  ConvGeometry g{1, 2, 2, 3, 1, 1};
-  Tensor x({1, 2, 2});
-  x.Fill(1.0f);
-  Tensor cols({9, 4});
-  Im2Col(x.data(), g, &cols);
-  // Top-left output position, kernel offset (0,0) reads padding.
-  EXPECT_FLOAT_EQ(cols.at(0, 0), 0.0f);
-  // Center kernel offset (1,1) reads the image.
-  EXPECT_FLOAT_EQ(cols.at(4, 0), 1.0f);
-}
-
-class Im2ColAdjointTest
+class ConvAdjointTest
     : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, int64_t>> {};
 
-// <cols, dx> adjoint identity: for random y and x,
-// <Im2Col(x), y> == <x, Col2Im(y)>.
-TEST_P(Im2ColAdjointTest, AdjointIdentity) {
+// The backward pass is the forward pass's adjoint in x and in w: for random
+// x, w and y, <conv(x, w), y> == <x, dx(y)> == <w, dw(y)>. A batch of 3
+// leaves five lanes of the vector path empty.
+TEST_P(ConvAdjointTest, AdjointIdentity) {
   auto [kernel, stride, pad] = GetParam();
   ConvGeometry g{3, 6, 6, kernel, stride, pad};
   if (g.OutH() <= 0 || g.OutW() <= 0) GTEST_SKIP();
+  const int64_t n = 3, f = 5;
   Rng rng(2);
-  Tensor x = Tensor::Randn({g.in_c, g.in_h, g.in_w}, &rng);
-  Tensor cols({g.in_c * kernel * kernel, g.OutH() * g.OutW()});
-  Im2Col(x.data(), g, &cols);
-  Tensor y = Tensor::Randn(cols.shape(), &rng);
-  double lhs = 0.0;
-  for (int64_t i = 0; i < cols.numel(); ++i) lhs += static_cast<double>(cols[i]) * y[i];
-  Tensor back({g.in_c, g.in_h, g.in_w});
-  Col2Im(y, g, back.MutableData());
-  double rhs = 0.0;
-  for (int64_t i = 0; i < x.numel(); ++i) rhs += static_cast<double>(x[i]) * back[i];
-  EXPECT_NEAR(lhs, rhs, 1e-3 * std::max(1.0, std::fabs(lhs)));
+  Tensor x = Tensor::Randn({n, g.in_c, g.in_h, g.in_w}, &rng);
+  Tensor w = Tensor::Randn({f, g.in_c, kernel, kernel}, &rng);
+  Tensor y({n, f, g.OutH(), g.OutW()});
+  Conv2dForward(x.data(), w.data(), nullptr, y.MutableData(), n, f, g);
+  Tensor dy = Tensor::Randn(y.shape(), &rng);
+  Tensor dx(x.shape());
+  Tensor dw(w.shape());
+  Conv2dBackward(x.data(), dy.data(), w.data(), dx.MutableData(),
+                 dw.MutableData(), n, f, g);
+  const double lhs = Dot(y, dy);
+  EXPECT_NEAR(lhs, Dot(x, dx), 1e-3 * std::max(1.0, std::fabs(lhs)));
+  EXPECT_NEAR(lhs, Dot(w, dw), 1e-3 * std::max(1.0, std::fabs(lhs)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Geometries, Im2ColAdjointTest,
+    Geometries, ConvAdjointTest,
     ::testing::Values(std::make_tuple(3, 1, 1), std::make_tuple(3, 2, 1),
                       std::make_tuple(1, 1, 0), std::make_tuple(1, 2, 0),
                       std::make_tuple(5, 1, 2), std::make_tuple(2, 2, 0)));
